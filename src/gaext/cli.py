@@ -35,27 +35,29 @@ def _trunc_scale() -> float:
     return value
 
 
-def _truncations(args, default_fn, nu_max: int):
-    """Per-level truncations from flags, the env scale, or suite defaults."""
+def _truncations(args, default_fn, nu_max: int) -> list:
+    """Truncations of levels 0..nu_max from flags, the env scale, or suite defaults."""
     scale = _trunc_scale()
-    out = {}
+    out = []
     for nu in range(nu_max + 1):
-        if args.trunc_len is not None or args.trunc_deg is not None:
-            base = default_fn(nu)
-            out[nu] = TruncationParams(
-                args.trunc_len if args.trunc_len is not None else base.word_length,
-                args.trunc_deg if args.trunc_deg is not None else base.degree)
+        base = default_fn(nu)
+        if args.trunc_len is None and args.trunc_deg is None:
+            out.append(base.scaled(scale))
         else:
-            out[nu] = default_fn(nu).scaled(scale)
+            out.append(TruncationParams(
+                base.word_length if args.trunc_len is None else args.trunc_len,
+                base.degree if args.trunc_deg is None else args.trunc_deg))
     return out
 
 
 def run_suite(args) -> Report:
     from . import sl2
     from .blowup import verify_section7_cases
-    from .filtered import verify_sequence_axioms
+    from .filtered import IdealSequence, verify_sequence_axioms
 
     name = args.suite
+    if args.nu_max < 0:
+        raise UsageError("--nu-max must be >= 0")
     if name == "family1":
         if args.n < 1:
             raise UsageError("family1 needs --n >= 1 (n = 0 is family2 with p = q = 1)")
@@ -63,9 +65,10 @@ def run_suite(args) -> Report:
                              args.nu_max)
         return sl2.verify_family1(args.n, args.nu_max, trunc)
     if name == "family2":
+        # family2's positive-weight probe reads level 1 even when nu_max is 0
         trunc = _truncations(
             args, lambda nu: sl2.family2_truncation(args.p, args.q, nu),
-            max(args.nu_max, 2))
+            max(args.nu_max, 1))
         return sl2.verify_family2(args.p, args.q, args.nu_max, trunc)
     if name == "smoothext":
         return verify_smoothext()
@@ -77,14 +80,13 @@ def run_suite(args) -> Report:
         return sl2.gluing_checks(args.n)
     if name == "sequence-axioms":
         report = Report("sequence-axioms", (("nu_max", args.nu_max),))
-        sequence = sl2.sl2_sequence(args.nu_max)
-        report.extend(verify_sequence_axioms(sequence))
+        report.extend(verify_sequence_axioms(sl2.sl2_sequence(args.nu_max)))
         if args.n >= 1:
-            trunc = _truncations(
-                args, lambda nu: sl2.family1_truncation(args.n, nu), args.nu_max)
-            from .filtered import IdealSequence
-            sub = sl2.family1_subalgebra(args.n)
-            fam = IdealSequence.compute(sub, args.nu_max, trunc[args.nu_max])
+            # every family-one level at the top level's bounds
+            top = _truncations(
+                args, lambda nu: sl2.family1_truncation(args.n, nu), args.nu_max)[-1]
+            fam = IdealSequence.compute(sl2.family1_subalgebra(args.n),
+                                        [top] * (args.nu_max + 1))
             report.extend(verify_sequence_axioms(fam))
         return report
     if name == "cross-family":
@@ -114,7 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--trunc-deg", type=int, default=None)
     verify.add_argument("--format", choices=("text", "structured"),
                         default="text")
-    verify.add_argument("--seed", type=int, default=0)
 
     member = sub.add_parser("membership",
                             help="rewrite a polynomial in t, v, u into chart generators")

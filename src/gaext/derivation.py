@@ -126,10 +126,6 @@ class Derivation:
             fact *= i
         return (nu, top / Fraction(fact))
 
-    def is_locally_nilpotent_on(self, elements, bound: int | None = None) -> bool:
-        return all(self.nilpotency_degree(e, bound) is not UNBOUNDED
-                   for e in elements)
-
 
 class Grading:
     """Integer weights on the variables of a presented ring.
@@ -159,17 +155,8 @@ class Grading:
         ws = {self.monomial_weight(e) for e in f.terms}
         return ws.pop() if len(ws) == 1 else NOT_HOMOGENEOUS
 
-    def homogeneous_components(self, f: Polynomial) -> dict:
-        out: dict = {}
-        for e, c in f.terms.items():
-            w = self.monomial_weight(e)
-            out.setdefault(w, {})[e] = c
-        return {w: Polynomial(self.ring.variables, terms)
-                for w, terms in sorted(out.items())}
 
-
-def homogeneity_degree(derivation: Derivation, grading: Grading,
-                       skip_zero_images: bool = True):
+def homogeneity_degree(derivation: Derivation, grading: Grading):
     """The common weight shift of the derivation, if one exists.
 
     Compares weight(D(v)) - weight(v) across variables; variables killed by
@@ -178,8 +165,6 @@ def homogeneity_degree(derivation: Derivation, grading: Grading,
     """
     shifts = set()
     for name, img in derivation.images.items():
-        if img.is_zero() and skip_zero_images:
-            continue
         if img.is_zero():
             continue
         w = grading.weight_of(img)

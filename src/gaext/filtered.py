@@ -6,6 +6,11 @@ derivation, and a finite generator list.  All filtration-level computations
 happen on a finite truncated spanning set: products of at most L generators
 times base monomials, capped at total degree d.  Results are certificates at
 the recorded truncation — sound always, complete only within the bounds.
+
+``IdealSequence.compute(subalgebra, truncations)`` is the one builder of a
+graded sequence: it takes one ``TruncationParams`` per level (the list
+index is nu), computes each m_nu once, and keeps the per-level bounds in
+``IdealSequence.truncations`` so every check can report its own level's.
 """
 
 from __future__ import annotations
@@ -103,14 +108,12 @@ class FilteredSubalgebra:
         yield ("1", self.ambient.one())
         for ell in range(1, length + 1):
             for combo in itertools.combinations_with_replacement(labels, ell):
-                poly = self.ambient.one()
-                ok = True
-                for lab in combo:
-                    poly = self.ambient.normal_form(poly * self.generators[lab])
+                poly = self.generators[combo[0]]  # already a normal form
+                for lab in combo[1:]:
                     if poly.is_zero() or poly.total_degree() > degree:
-                        ok = False
                         break
-                if not ok:
+                    poly = self.ambient.normal_form(poly * self.generators[lab])
+                if poly.is_zero() or poly.total_degree() > degree:
                     continue
                 label = "*".join(f"{lab}^{combo.count(lab)}" if combo.count(lab) > 1
                                  else lab for lab in sorted(set(combo)))
@@ -243,18 +246,21 @@ def compute_m_nu(subalgebra: FilteredSubalgebra, nu: int,
 
 @dataclass
 class IdealSequence:
-    """Graded ideals m_0..m_max of one subalgebra at one truncation."""
+    """Graded ideals m_0..m_max of one subalgebra, level nu cut at truncations[nu]."""
 
     subalgebra: FilteredSubalgebra
-    truncation: TruncationParams
+    truncations: tuple
     ideals: list = field(default_factory=list)
 
     @classmethod
-    def compute(cls, subalgebra: FilteredSubalgebra, nu_max: int,
-                truncation: TruncationParams) -> "IdealSequence":
-        ideals = [compute_m_nu(subalgebra, nu, truncation)
-                  for nu in range(nu_max + 1)]
-        return cls(subalgebra, truncation, ideals)
+    def compute(cls, subalgebra: FilteredSubalgebra,
+                truncations: Sequence[TruncationParams]) -> "IdealSequence":
+        truncations = tuple(truncations)
+        if not truncations:
+            raise InputError("an ideal sequence needs at least level 0")
+        ideals = [compute_m_nu(subalgebra, nu, trunc)
+                  for nu, trunc in enumerate(truncations)]
+        return cls(subalgebra, truncations, ideals)
 
     def __getitem__(self, nu: int) -> Ideal:
         return self.ideals[nu]
@@ -265,7 +271,7 @@ class IdealSequence:
 
 def verify_sequence_axioms(sequence: IdealSequence) -> Report:
     """Unit degree zero, descending chain, and multiplicativity checks."""
-    report = Report("sequence-axioms", sequence.truncation.as_params())
+    report = Report("sequence-axioms", sequence.truncations[-1].as_params())
     ideals = sequence.ideals
     report.add("axiom-unit-degree-zero", ideals[0].is_unit() if ideals else False,
                (("nu", 0),))

@@ -319,11 +319,6 @@ class PresentedRing:
         return self.normal_form(parse(text, self.variables))
 
 
-def free_ring(names: str, order_kind: str = "deglex") -> PresentedRing:
-    variables = tuple(names.split())
-    return PresentedRing(variables, (), MonomialOrder(order_kind, variables))
-
-
 def weighted_monomial_ideal(p: int, q: int, nu: int,
                             variables=("x", "y")) -> Ideal:
     """Ideal spanned by the monomials x^a y^b with p*a + q*b >= (p+q)*nu.

@@ -71,6 +71,3 @@ class Echelon:
             raise StructuralError("vector outside the echelon's variable tuple")
         residual, combo, _ = self._reduce(vec, {})
         return residual, {t: -c for t, c in combo.items()}
-
-    def contains(self, vec: Polynomial) -> bool:
-        return self.reduce(vec)[0].is_zero()

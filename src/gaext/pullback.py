@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .derivation import Derivation
-from .filtered import FilteredSubalgebra, IdealSequence, TruncationParams, compute_m_nu
+from .filtered import FilteredSubalgebra, IdealSequence, TruncationParams
 from .groebner import Ideal, InputError, PresentedRing
 from .poly import Polynomial
 
@@ -49,19 +49,12 @@ def pullback_subalgebra(bundle: PullbackBundle) -> FilteredSubalgebra:
                               {"f0": ring.var("f0"), "f1": ring.var("f1")})
 
 
-def graded_sequence_of_pullback(bundle: PullbackBundle, nu_max: int,
-                                truncations=None) -> IdealSequence:
+def graded_sequence_of_pullback(bundle: PullbackBundle, nu_max: int) -> IdealSequence:
     """Levels 0..nu_max of the full pullback ring; expected <g, h>^nu."""
-    sub = pullback_subalgebra(bundle)
     degree_unit = max(bundle.g.total_degree(), bundle.h.total_degree(), 1)
-    ideals = []
-    top = None
-    for nu in range(nu_max + 1):
-        trunc = (truncations[nu] if truncations
-                 else TruncationParams(nu, degree_unit * (nu + 2) + 2))
-        top = trunc
-        ideals.append(compute_m_nu(sub, nu, trunc))
-    return IdealSequence(sub, top, ideals)
+    return IdealSequence.compute(
+        pullback_subalgebra(bundle),
+        [TruncationParams(nu, degree_unit * (nu + 2) + 2) for nu in range(nu_max + 1)])
 
 
 def expected_pullback_ideal(bundle: PullbackBundle, nu: int) -> Ideal:

@@ -13,10 +13,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
+from .blowup import fixed_locus_ideal
 from .derivation import Derivation, Grading, homogeneity_degree
 from .filtered import (FilteredSubalgebra, IdealSequence, Member,
                        TruncationParams, compute_m_nu, generated_in_degree_one,
-                       subalgebra_contains, verify_sequence_axioms)
+                       subalgebra_contains)
 from .groebner import Ideal, InputError, PresentedRing, weighted_monomial_ideal
 from .poly import Polynomial
 from .report import Report
@@ -51,17 +52,11 @@ def base_power_ideal(k: int) -> Ideal:
     return Ideal(gens, variables=variables)
 
 
-def sl2_sequence(nu_max: int, truncations=None) -> IdealSequence:
+def sl2_sequence(nu_max: int) -> IdealSequence:
     """Graded ideals of O(SL2) itself, level nu at truncation L=nu, d=2nu+2."""
-    sub = sl2_subalgebra()
-    ideals = []
-    top = None
-    for nu in range(nu_max + 1):
-        trunc = (truncations[nu] if truncations
-                 else TruncationParams(nu, 2 * nu + 2))
-        ideals.append(compute_m_nu(sub, nu, trunc))
-        top = trunc
-    return IdealSequence(sub, top, ideals)
+    return IdealSequence.compute(
+        sl2_subalgebra(),
+        [TruncationParams(nu, 2 * nu + 2) for nu in range(nu_max + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -155,27 +150,17 @@ def verify_family1(n: int, nu_max: int, truncations=None) -> Report:
         report.add("derivation-commutes", ok, (("n", n), ("var", name)),
                    "" if ok else f"D(psi({name})) = {lhs} != {rhs}")
 
-    sub = family1_subalgebra(n)
-    ideals = []
-    top = None
-    for nu in range(nu_max + 1):
-        trunc = (truncations[nu] if truncations else family1_truncation(n, nu))
-        top = trunc
-        computed = compute_m_nu(sub, nu, trunc)
-        ideals.append(computed)
-        if nu == 0:
-            continue
+    sequence = IdealSequence.compute(
+        family1_subalgebra(n),
+        truncations or [family1_truncation(n, nu) for nu in range(nu_max + 1)])
+    for nu in range(1, nu_max + 1):
         expected = base_power_ideal((n + 2) * nu)
-        ok = computed.equals(expected)
-        report.add("graded-ideal", ok,
-                   (("n", n), ("nu", nu)) + trunc.as_params(),
+        report.add("graded-ideal", sequence[nu].equals(expected),
+                   (("n", n), ("nu", nu)) + sequence.truncations[nu].as_params(),
                    f"m_{nu} vs <x,y>^{(n + 2) * nu}")
-
-    sequence = IdealSequence(sub, top, ideals)
-    if nu_max >= 2:
-        for nu, equal, witness in generated_in_degree_one(sequence):
-            report.add("degree-one-generation", equal, (("n", n), ("nu", nu)),
-                       witness)
+    for nu, equal, witness in generated_in_degree_one(sequence):
+        report.add("degree-one-generation", equal, (("n", n), ("nu", nu)),
+                   witness)
 
     fixed = fixed_locus_ideal(family1_derivation(n))
     gen_vars = family1_variables(n)
@@ -187,18 +172,6 @@ def verify_family1(n: int, nu_max: int, truncations=None) -> Report:
     report.add("fixed-locus", fixed.equals(expected_fixed), (("n", n),),
                f"<D images> vs <X0,X1>^{k}")
     return report
-
-
-def fixed_locus_ideal(derivation: Derivation, generators=None) -> Ideal:
-    """Ideal cutting out the points where the group action is trivial."""
-    ring = derivation.ring
-    if generators is None:
-        generators = ring.gens()
-    images = [ring.normal_form(derivation(g)) for g in generators]
-    images = [g for g in images if not g.is_zero()]
-    if not images:
-        return Ideal.zero(ring.variables)
-    return Ideal(images, variables=ring.variables, order=ring.order)
 
 
 # ---------------------------------------------------------------------------
@@ -258,15 +231,15 @@ def family2_truncation(p: int, q: int, nu: int) -> TruncationParams:
 
 
 def family2_sequence(p: int, q: int, nu_max: int, truncations=None) -> IdealSequence:
-    ideals = []
-    top = None
-    sub = None
-    for nu in range(nu_max + 1):
-        trunc = (truncations[nu] if truncations else family2_truncation(p, q, nu))
-        top = trunc
-        sub = family2_subalgebra(p, q, trunc.degree)
-        ideals.append(compute_m_nu(sub, nu, trunc))
-    return IdealSequence(sub, top, ideals)
+    """Levels 0..nu_max over one subalgebra built at the largest level degree.
+
+    Its generators of degree at most d are exactly those of the subalgebra
+    built at d, so each level's span is unchanged.
+    """
+    truncations = (truncations or [family2_truncation(p, q, nu)
+                                   for nu in range(nu_max + 1)])[:nu_max + 1]
+    sub = family2_subalgebra(p, q, max(t.degree for t in truncations))
+    return IdealSequence.compute(sub, truncations)
 
 
 def verify_family2(p: int, q: int, nu_max: int, truncations=None) -> Report:
@@ -292,33 +265,29 @@ def verify_family2(p: int, q: int, nu_max: int, truncations=None) -> Report:
     report.add("bezout", m * q - n * p == 1 and m >= 0,
                (("p", p), ("q", q)), f"m={m},n={n}")
 
+    # the probe below reads level 1's bounds even when nu_max is 0
+    truncations = truncations or [family2_truncation(p, q, nu)
+                                  for nu in range(max(nu_max, 1) + 1)]
+    sequence = family2_sequence(p, q, nu_max, truncations)
     for nu in range(1, nu_max + 1):
-        trunc = (truncations[nu] if truncations else family2_truncation(p, q, nu))
-        sub = family2_subalgebra(p, q, trunc.degree)
-        computed = compute_m_nu(sub, nu, trunc)
         expected = weighted_monomial_ideal(p, q, nu)
-        ok = computed.equals(expected)
-        report.add("graded-ideal", ok,
-                   (("p", p), ("q", q), ("nu", nu)) + trunc.as_params(),
+        params = (("p", p), ("q", q), ("nu", nu)) + sequence.truncations[nu].as_params()
+        report.add("graded-ideal", sequence[nu].equals(expected), params,
                    f"m_{nu} vs weighted({p},{q},{nu})")
 
     if (p, q) == (2, 1) and nu_max >= 2:
-        sequence = family2_sequence(p, q, 2, truncations)
-        xy = ("x", "y")
-        x3 = Polynomial(xy, {(3, 0): Fraction(1)})
+        x3 = Polynomial(("x", "y"), {(3, 0): Fraction(1)})
+        m1_squared = sequence[1] * sequence[1]
         in_m2 = x3 in sequence[2]
-        in_m1_sq = x3 in sequence[1] * sequence[1]
+        in_m1_sq = x3 in m1_squared
         report.add("cube-witness", in_m2 and not in_m1_sq,
                    (("p", p), ("q", q)),
                    f"x^3 in m_2: {in_m2}; x^3 in m_1^2: {in_m1_sq}")
-        degree_one = generated_in_degree_one(sequence)
-        not_deg_one = any(nu == 2 and not equal for nu, equal, _ in degree_one)
-        report.add("degree-one-fails", not_deg_one, (("p", p), ("q", q)),
-                   "m_2 != m_1^2")
+        report.add("degree-one-fails", not sequence[2].equals(m1_squared),
+                   (("p", p), ("q", q)), "m_2 != m_1^2")
 
-    probe_degree = (truncations[1].degree if truncations
-                    else family2_truncation(p, q, 1).degree)
-    gens = family2_nonnegative_generators(p, q, min(probe_degree, p + q + 2))
+    gens = family2_nonnegative_generators(
+        p, q, min(truncations[1].degree, p + q + 2))
     bad = ""
     for label, g in sorted(gens.items()):
         if grading.weight_of(g) <= 0:
@@ -436,7 +405,7 @@ def verify_cross_family(nu_max: int = 3, truncations=None) -> Report:
         expected = base_power_ideal(2 * nu)
         ok = sequence[nu].equals(expected)
         report.add("p0-graded-ideal", ok,
-                   (("nu", nu),) + sequence.truncation.as_params(),
+                   (("nu", nu),) + sequence.truncations[-1].as_params(),
                    f"m_{nu}(P(1,1)) vs <x,y>^{2 * nu}")
 
     trunc = family2_truncation(2, 1, 1)

@@ -70,7 +70,7 @@ def test_criterion_04_degree_one_generation_dichotomy():
     for n in (1, 2):
         sub = family1_subalgebra(n)
         trunc = family1_truncation(n, 2)
-        sequence = IdealSequence.compute(sub, 2, trunc)
+        sequence = IdealSequence.compute(sub, [trunc] * 3)
         for nu, equal, witness in generated_in_degree_one(sequence):
             assert equal, (n, nu, witness)
 
@@ -222,8 +222,8 @@ def test_criterion_12_property_suites():
         assert (npq, toppq) == (nf + ng, product)
 
     sequences = [sl2_sequence(3),
-                 IdealSequence.compute(family1_subalgebra(1), 2,
-                                       family1_truncation(1, 2)),
+                 IdealSequence.compute(family1_subalgebra(1),
+                                       [family1_truncation(1, 2)] * 3),
                  family2_sequence(2, 1, 2)]
     for sequence in sequences:
         assert verify_sequence_axioms(sequence).overall == PASS

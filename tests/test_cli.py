@@ -46,6 +46,20 @@ def test_usage_errors(capsys):
     assert code == EXIT_USAGE
 
 
+def test_negative_nu_max_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "family1", "--n", "1", "--nu-max", "-1")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("usage error:")
+    assert "--nu-max" in err
+
+
+def test_seed_flag_is_rejected(capsys):
+    code, out, _ = run(capsys, "verify", "smoothext", "--seed", "1")
+    assert code == EXIT_USAGE
+    assert out == ""
+
+
 def test_membership_member(capsys):
     code, out, _ = run(capsys, "membership", "u*v + v^2", "--n", "1")
     assert code == EXIT_PASS

@@ -106,7 +106,7 @@ def test_base_vars_must_be_constants():
 def test_sequence_axioms_pass_for_sl2():
     sub = sl2_subalgebra()
     trunc = TruncationParams(3, 8)
-    sequence = IdealSequence.compute(sub, 3, trunc)
+    sequence = IdealSequence.compute(sub, [trunc] * 4)
     report = verify_sequence_axioms(sequence)
     assert report.overall == PASS
 
@@ -115,7 +115,7 @@ def test_sequence_axioms_detect_violations():
     sub = sl2_subalgebra()
     trunc = TruncationParams(2, 6)
     xy = ("x", "y")
-    bad = IdealSequence(sub, trunc, [
+    bad = IdealSequence(sub, (trunc,) * 3, [
         Ideal([parse("1", xy)], variables=xy),
         base_power_ideal(2),
         base_power_ideal(1),  # not contained in the previous level
@@ -127,6 +127,6 @@ def test_sequence_axioms_detect_violations():
 def test_generated_in_degree_one():
     sub = sl2_subalgebra()
     trunc = TruncationParams(3, 8)
-    sequence = IdealSequence.compute(sub, 3, trunc)
+    sequence = IdealSequence.compute(sub, [trunc] * 4)
     results = generated_in_degree_one(sequence)
     assert [(nu, ok) for nu, ok, _ in results] == [(2, True), (3, True)]

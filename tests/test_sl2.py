@@ -2,6 +2,9 @@
 
 import pytest
 
+import gaext.filtered
+import gaext.sl2
+from gaext.filtered import TruncationParams
 from gaext.groebner import InputError
 from gaext.poly import Polynomial, parse
 from gaext.report import PASS
@@ -83,6 +86,8 @@ def test_family2_cube_witness_details():
     x3 = parse("x^3", ("x", "y"))
     assert x3 in sequence[2]
     assert x3 not in sequence[1] * sequence[1]
+    assert sequence.truncations == tuple(
+        TruncationParams(1, 6 * nu + 4) for nu in range(3))
 
 
 def test_gluing_checks_pass():
@@ -98,3 +103,21 @@ def test_cross_family_report_passes():
     assert report.overall == PASS
     by_id = {c.check_id: c for c in report.checks}
     assert "1" in by_id["dominating-level"].witness
+
+
+
+def test_each_level_is_computed_once(monkeypatch):
+    calls = []
+    original = gaext.filtered.compute_m_nu
+
+    def counting(subalgebra, nu, truncation):
+        calls.append(nu)
+        return original(subalgebra, nu, truncation)
+
+    monkeypatch.setattr(gaext.filtered, "compute_m_nu", counting)
+    monkeypatch.setattr(gaext.sl2, "compute_m_nu", counting)
+    assert verify_family2(2, 1, 2).overall == PASS
+    assert sorted(calls) == [0, 1, 2]
+    calls.clear()
+    assert verify_family1(1, 2).overall == PASS
+    assert sorted(calls) == [0, 1, 2]

@@ -72,7 +72,7 @@ def test_ideal_sequence_algebra_roundtrip():
 def test_ideal_sequence_algebra_rejects_bad_sequence():
     base = sl2_sequence(2)
     xy = ("x", "y")
-    bad = IdealSequence(base.subalgebra, base.truncation, [
+    bad = IdealSequence(base.subalgebra, base.truncations, [
         Ideal([parse("1", xy)], variables=xy),
         Ideal([parse("x^2", xy)], variables=xy),
         Ideal([parse("x", xy)], variables=xy),  # breaks the descending axiom
@@ -84,7 +84,7 @@ def test_ideal_sequence_algebra_rejects_bad_sequence():
 def test_unit_level_flags_improper():
     base = sl2_sequence(1)
     xy = ("x", "y")
-    unit = IdealSequence(base.subalgebra, base.truncation, [
+    unit = IdealSequence(base.subalgebra, base.truncations, [
         Ideal([parse("1", xy)], variables=xy),
         Ideal([parse("1", xy)], variables=xy),
     ])
