@@ -8,6 +8,7 @@ handled here (defining relations, monomial staircases, blowup charts).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -48,6 +49,15 @@ def _exp_sub(a, b):
 
 def _exp_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def _minimal_exponents(exps) -> list:
+    """The divisibility-minimal members of a set of exponent tuples, sorted."""
+    minimal = []
+    for e in sorted(set(exps)):  # a proper divisor sorts first
+        if not any(_divides(m, e) for m in minimal):
+            minimal.append(e)
+    return minimal
 
 
 def reduce_poly(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder) -> Polynomial:
@@ -191,10 +201,22 @@ class Ideal:
             self._basis = buchberger(self.generators, self.order)
         return self._basis
 
+    @cached_property
+    def _staircase(self):
+        """Minimal exponents of a monomial ideal, which are its reduced
+        Groebner basis under any order; None if a generator is no monomial."""
+        if not self.is_monomial_ideal():
+            return None
+        return _minimal_exponents(next(iter(g.terms)) for g in self.generators)
+
     def is_zero(self) -> bool:
-        return not self.groebner_basis()
+        return not self.generators  # zero generators were dropped
 
     def is_unit(self) -> bool:
+        if any(g.is_constant() for g in self.generators):
+            return True
+        if self._staircase is not None:
+            return False  # every nonconstant monomial vanishes at the origin
         basis = self.groebner_basis()
         return len(basis) == 1 and basis[0].is_constant()
 
@@ -204,30 +226,25 @@ class Ideal:
     def __contains__(self, f: Polynomial) -> bool:
         if f.is_zero():
             return True
-        if self.is_monomial_ideal():
+        staircase = self._staircase
+        if staircase is not None:
             # termwise divisibility test, no basis reduction needed
-            lead_exps = [g.leading_term(self.order)[0] for g in self.generators]
-            return all(any(_divides(le, e) for le in lead_exps) for e in f.terms)
+            return all(any(_divides(m, e) for m in staircase) for e in f.terms)
         return self.normal_form(f).is_zero()
 
     def is_monomial_ideal(self) -> bool:
         return all(g.is_monomial() for g in self.generators)
 
     def minimal_monomial_generators(self) -> list:
-        if not self.is_monomial_ideal():
+        if self._staircase is None:
             raise StructuralError("not a monomial ideal")
-        exps = sorted({g.leading_term(self.order)[0] for g in self.generators})
-        minimal = []
-        for e in exps:
-            if not any(_divides(m, e) for m in minimal if m != e):
-                minimal = [m for m in minimal if not _divides(e, m)] + [e]
-        return sorted(minimal)
+        return list(self._staircase)
 
     def equals(self, other: "Ideal") -> bool:
         if self.variables != other.variables:
             raise StructuralError("ideals live in different rings")
-        if self.is_monomial_ideal() and other.is_monomial_ideal():
-            return self.minimal_monomial_generators() == other.minimal_monomial_generators()
+        if self._staircase is not None and other._staircase is not None:
+            return self._staircase == other._staircase
         return (all(g in other for g in self.generators)
                 and all(g in self for g in other.generators))
 
@@ -240,7 +257,12 @@ class Ideal:
     def __mul__(self, other: "Ideal") -> "Ideal":
         if self.variables != other.variables:
             raise StructuralError("ideals live in different rings")
-        gens = [f * g for f in self.generators for g in other.generators]
+        if self._staircase is not None and other._staircase is not None:
+            exps = _minimal_exponents(tuple(a + b for a, b in zip(e, f))
+                                      for e in self._staircase for f in other._staircase)
+            gens = [Polynomial(self.variables, {e: Fraction(1)}) for e in exps]
+        else:
+            gens = [f * g for f in self.generators for g in other.generators]
         return Ideal(gens, variables=self.variables, order=self.order)
 
     def __pow__(self, k: int) -> "Ideal":
@@ -255,6 +277,9 @@ class Ideal:
         return result
 
     def contains_ideal(self, other: "Ideal") -> bool:
+        if self._staircase is not None and other._staircase is not None:
+            return all(any(_divides(m, e) for m in self._staircase)
+                       for e in other._staircase)
         # cheap pre-pass: scalar multiples of our generators are members
         own = {frozenset(g.monic().terms.items()) for g in self.generators}
         return all(frozenset(g.monic().terms.items()) in own or g in self
@@ -343,11 +368,7 @@ def weighted_monomial_ideal(p: int, q: int, nu: int,
         if beta == 0:
             break
         alpha += 1
-    minimal = []
-    for a, b in candidates:
-        if not any(a2 <= a and b2 <= b for a2, b2 in candidates if (a2, b2) != (a, b)):
-            minimal.append((a, b))
-    gens = [Polynomial(variables, {e: Fraction(1)}) for e in sorted(minimal)]
+    gens = [Polynomial(variables, {e: Fraction(1)}) for e in _minimal_exponents(candidates)]
     return Ideal(gens, variables=variables)
 
 

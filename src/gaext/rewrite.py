@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from types import MappingProxyType
 
 from .groebner import InputError
 from .poly import BIDEG_BOTTOM, Polynomial, bidegree
@@ -30,8 +32,9 @@ def generator_names(n: int) -> tuple:
     return tuple(f"G{i}" for i in range(n + 5))
 
 
-def chart_generators(n: int) -> dict:
-    """Name -> polynomial for the n+5 chart-algebra generators."""
+@lru_cache(maxsize=None)
+def chart_generators(n: int) -> MappingProxyType:
+    """Read-only name -> polynomial map of the n+5 chart-algebra generators."""
     if n < 1:
         raise InputError("chart generators need n >= 1")
     t, v, u = (Polynomial.variable(nm, CHART_VARS) for nm in CHART_VARS)
@@ -39,7 +42,7 @@ def chart_generators(n: int) -> dict:
     for r in range(n + 2):
         gens[f"G{2 + r}"] = u * t ** r
     gens[f"G{n + 4}"] = u * t ** (n + 2) - v ** n * t ** (n + 1)
-    return gens
+    return MappingProxyType(gens)
 
 
 def expand_expression(expression: Polynomial, n: int) -> Polynomial:

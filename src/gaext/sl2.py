@@ -405,7 +405,7 @@ def verify_cross_family(nu_max: int = 3, truncations=None) -> Report:
         expected = base_power_ideal(2 * nu)
         ok = sequence[nu].equals(expected)
         report.add("p0-graded-ideal", ok,
-                   (("nu", nu),) + sequence.truncations[-1].as_params(),
+                   (("nu", nu),) + sequence.truncations[nu].as_params(),
                    f"m_{nu}(P(1,1)) vs <x,y>^{2 * nu}")
 
     trunc = family2_truncation(2, 1, 1)

@@ -1,10 +1,17 @@
 """Command-line interface: exit codes, determinism, formats, environment."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
+from time import perf_counter
 
 import pytest
 
 from gaext.cli import (EXIT_FAIL, EXIT_PASS, EXIT_USAGE, build_parser, main)
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -107,3 +114,29 @@ def test_sequence_axioms_suite(capsys):
 def test_parser_help_does_not_crash():
     parser = build_parser()
     assert parser.prog == "gaext"
+
+
+@pytest.mark.parametrize("module", ["gaext", "gaext.cli"])
+def test_module_entry_points(module, capsys):
+    env = dict(os.environ)
+    env.pop("LND_TRUNC_SCALE", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+
+    def run_module(*argv):
+        return subprocess.run([sys.executable, "-m", module, *argv], env=env,
+                              capture_output=True, text=True, timeout=120, check=False)
+
+    done = run_module("verify", "gluing", "--n", "1")
+    _, expected, _ = run(capsys, "verify", "gluing", "--n", "1")
+    assert done.returncode == EXIT_PASS
+    assert done.stdout == expected
+    assert expected.startswith("suite\tgluing")
+    assert run_module("verify", "gluing", "--n", "1", "--nu-max", "-1").returncode == EXIT_USAGE
+
+
+def test_family1_nu_max_4_is_fast(capsys):
+    start = perf_counter()
+    code, out, _ = run(capsys, "verify", "family1", "--n", "1", "--nu-max", "4")
+    assert code == EXIT_PASS
+    assert "graded-ideal\tpass\tn=1,nu=4" in out
+    assert perf_counter() - start < 30

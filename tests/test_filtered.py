@@ -2,6 +2,7 @@
 
 import pytest
 
+import gaext.groebner
 from gaext.filtered import (FilteredSubalgebra, IdealSequence, Member,
                             NotFoundWithinBounds, TruncationParams,
                             compute_m_nu, generated_in_degree_one,
@@ -10,7 +11,7 @@ from gaext.filtered import (FilteredSubalgebra, IdealSequence, Member,
 from gaext.groebner import Ideal, InputError
 from gaext.poly import Polynomial, parse
 from gaext.report import PASS
-from gaext.sl2 import base_power_ideal, sl2_ring, sl2_subalgebra
+from gaext.sl2 import base_power_ideal, sl2_ring, sl2_sequence, sl2_subalgebra
 
 
 def test_truncation_params_validation_and_scaling():
@@ -130,3 +131,19 @@ def test_generated_in_degree_one():
     sequence = IdealSequence.compute(sub, [trunc] * 4)
     results = generated_in_degree_one(sequence)
     assert [(nu, ok) for nu, ok, _ in results] == [(2, True), (3, True)]
+
+
+def test_sequence_axioms_run_no_buchberger(monkeypatch):
+    # m_0 holds the constant 1 and every level is monomial, so no axiom
+    # needs a Groebner basis
+    sequence = sl2_sequence(2)
+    calls = []
+    original = gaext.groebner.buchberger
+
+    def counting(gens, order):
+        calls.append(len(gens))
+        return original(gens, order)
+
+    monkeypatch.setattr(gaext.groebner, "buchberger", counting)
+    assert verify_sequence_axioms(sequence).overall == PASS
+    assert calls == []

@@ -1,6 +1,7 @@
 """Groebner bases, ideal arithmetic, presented rings, monomial staircases."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +11,7 @@ from gaext.groebner import (INDETERMINATE, Ideal, InputError, PresentedRing,
 from gaext.poly import Polynomial, default_order, parse
 
 XY = ("x", "y")
+XYZ = ("x", "y", "z")
 
 
 def _random_poly(variables, rng, max_deg=3, terms=3):
@@ -70,6 +72,49 @@ def test_monomial_fast_paths_agree_with_general():
         probe = _random_poly(XY, rng, 4, 3)
         # the divisibility shortcut must agree with full normal-form reduction
         assert (probe in ideal) == ideal.normal_form(probe).is_zero()
+
+
+def _random_monomial_ideal(variables, rng):
+    """1-4 monomials with exponents up to 3 and assorted coefficients."""
+    gens = [Polynomial(variables, {tuple(rng.randint(0, 3) for _ in variables):
+                                   Fraction(rng.choice((-3, 1, 2)))})
+            for _ in range(rng.randint(1, 4))]
+    return Ideal(gens)
+
+
+def test_staircase_agrees_with_buchberger():
+    # the reference is the general path: normal forms modulo buchberger of
+    # the unminimised generators
+    rng = random.Random(31)
+    units = 0
+    for _ in range(40):
+        variables = rng.choice((XY, XYZ))
+        order = default_order(variables)
+        a, b = (_random_monomial_ideal(variables, rng) for _ in range(2))
+        product = a * b
+        unminimised = [f * g for f in a.generators for g in b.generators]
+        basis = buchberger(unminimised, order)
+        basis_a = buchberger(a.generators, order)
+        assert set(product.generators) == set(basis)
+        assert len(product.generators) == len(basis)
+        assert product.minimal_monomial_generators() == sorted(
+            g.leading_term(order)[0] for g in basis)
+        for _ in range(6):
+            probe = _random_poly(variables, rng, 6, rng.randint(1, 3))
+            assert (probe in product) == reduce_poly(probe, basis, order).is_zero()
+        assert product.is_unit() == (basis == [Polynomial.one(variables)])
+        assert a.is_unit() == (basis_a == [Polynomial.one(variables)])
+        units += a.is_unit()
+        assert not product.is_zero()
+        assert product.equals(Ideal(unminimised))
+        for other in (b, a + b, product):
+            basis_other = buchberger(other.generators, order)
+            assert a.equals(other) == (basis_a == basis_other)
+            assert a.contains_ideal(other) == all(
+                reduce_poly(g, basis_a, order).is_zero() for g in other.generators)
+            assert other.contains_ideal(a) == all(
+                reduce_poly(g, basis_other, order).is_zero() for g in a.generators)
+    assert units  # the unit shortcut was exercised
 
 
 def test_presented_ring_normal_forms():

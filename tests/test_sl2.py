@@ -4,12 +4,12 @@ import pytest
 
 import gaext.filtered
 import gaext.sl2
-from gaext.filtered import TruncationParams
+from gaext.filtered import IdealSequence, TruncationParams
 from gaext.groebner import InputError
 from gaext.poly import Polynomial, parse
 from gaext.report import PASS
 from gaext.sl2 import (base_power_ideal, family1_ideal, family1_psi,
-                       family1_truncation, family2_bezout, family2_grading,
+                       family1_subalgebra, family1_truncation, family2_bezout, family2_grading,
                        family2_nonnegative_generators, family2_sequence,
                        family2_weights, gluing_checks, sl2_ring, sl2_sequence,
                        verify_cross_family, verify_family1, verify_family2)
@@ -104,6 +104,20 @@ def test_cross_family_report_passes():
     by_id = {c.check_id: c for c in report.checks}
     assert "1" in by_id["dominating-level"].witness
 
+
+def test_cross_family_levels_print_their_own_bounds():
+    report = verify_cross_family(3)
+    levels = [dict(c.params) for c in report.checks if c.check_id == "p0-graded-ideal"]
+    assert [(p["nu"], p["d"]) for p in levels] == [(nu, 4 * nu + 4) for nu in (1, 2, 3)]
+
+
+def test_family1_cube_of_m1_is_minimal():
+    sequence = IdealSequence.compute(
+        family1_subalgebra(1), [family1_truncation(1, nu) for nu in range(2)])
+    cube = sequence[1] ** 3
+    assert len(cube.generators) == 10
+    assert cube.minimal_monomial_generators() == [(i, 9 - i) for i in range(10)]
+    assert cube.equals(base_power_ideal(9))
 
 
 def test_each_level_is_computed_once(monkeypatch):
