@@ -57,8 +57,6 @@ def run_suite(args) -> Report:
     from .filtered import IdealSequence, verify_sequence_axioms
 
     name = args.suite
-    if args.nu_max < 0:
-        raise UsageError("--nu-max must be >= 0")
     if name == "family1":
         if args.n < 1:
             raise UsageError("family1 needs --n >= 1 (n = 0 is family2 with p = q = 1)")
@@ -101,6 +99,20 @@ class UsageError(Exception):
     pass
 
 
+def _check_ranges(args):
+    """Reject an out-of-range flag whether or not the command reads it."""
+    if args.command == "membership":
+        limits = (("--max-steps", args.max_steps, 0),)
+    else:
+        limits = (("--nu-max", args.nu_max, 0), ("--n", args.n, 0),
+                  ("--p", args.p, 1), ("--q", args.q, 1),
+                  ("--trunc-len", args.trunc_len, 0),
+                  ("--trunc-deg", args.trunc_deg, 0))
+    for flag, value, least in limits:
+        if value is not None and value < least:
+            raise UsageError(f"{flag} must be >= {least}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gaext",
@@ -137,6 +149,11 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_PASS
+    try:
+        _check_ranges(args)
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
     if args.command == "membership":
         try:

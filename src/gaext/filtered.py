@@ -87,6 +87,34 @@ class FilteredSubalgebra:
             gens[label] = nf
         self.generators = gens
         self.module_spanning = bool(module_spanning)
+        # exponents -> terms of derivation(monomial), filled on first use
+        self._d_rows: dict = {}
+
+    def apply_derivation(self, f: Polynomial) -> Polynomial:
+        """D(f) in normal form, as the sum of f's coefficients times cached rows.
+
+        D and the normal form are both linear, so the normal form of D(m) is
+        computed once per monomial m, by ``derivation``, and reused.
+        """
+        if f.variables != self.ambient.variables:
+            raise StructuralError("argument outside the derivation's ring")
+        rows = self._d_rows
+        terms: dict = {}
+        for exps, c in f.terms.items():
+            row = rows.get(exps)
+            if row is None:
+                monomial = Polynomial(f.variables, {exps: Fraction(1)})
+                row = rows[exps] = self.derivation(monomial).terms
+            for e, rc in row.items():
+                s = terms.get(e, 0) + c * rc
+                if s:
+                    terms[e] = s
+                else:
+                    del terms[e]
+        out = Polynomial.__new__(Polynomial)
+        out.variables = f.variables
+        out.terms = terms
+        return out
 
     def _base_monomials(self, degree: int):
         idx = [self.ambient.variables.index(v) for v in self.base_vars]
@@ -136,7 +164,8 @@ def truncated_span(subalgebra: FilteredSubalgebra,
         bases = list(subalgebra._base_monomials(truncation.degree))
         pairs = [(m, w) for m in bases for w in words]
     for (mlab, mono), (wlab, word) in pairs:
-        poly = ambient.normal_form(mono * word)
+        # words are normal forms already
+        poly = word if mlab == "1" else ambient.normal_form(mono * word)
         if poly.is_zero() or poly.total_degree() > truncation.degree:
             continue
         canon = frozenset(poly.monic().terms.items())
@@ -203,9 +232,8 @@ def compute_m_nu(subalgebra: FilteredSubalgebra, nu: int,
     if nu < 0:
         raise InputError("filtration level must be nonnegative")
     ambient = subalgebra.ambient
-    derivation = subalgebra.derivation
+    d = subalgebra.apply_derivation
     elements = truncated_span(subalgebra, truncation)
-    # iterated images: powers[tag][k] lazily holds D^k of element tag
     echelon = Echelon(ambient.variables, ambient.order)
     level_images = {}
     kernel_combos = []
@@ -214,9 +242,9 @@ def compute_m_nu(subalgebra: FilteredSubalgebra, nu: int,
         for _ in range(nu):
             if g.is_zero():
                 break
-            g = derivation(g)
+            g = d(g)
         level_images[idx] = g
-        top = derivation(g) if not g.is_zero() else g
+        top = d(g)
         if top.is_zero():
             kernel_combos.append({idx: Fraction(1)})
             continue
@@ -227,8 +255,7 @@ def compute_m_nu(subalgebra: FilteredSubalgebra, nu: int,
     for combo in kernel_combos:
         image = Polynomial.zero(ambient.variables)
         for idx, c in combo.items():
-            image = image + level_images[idx] * c
-        image = ambient.normal_form(image)
+            image = image + level_images[idx] * c  # normal forms span normal forms
         if image.is_zero():
             continue
         if not set(image.used_variables()) <= set(subalgebra.base_vars):

@@ -60,13 +60,20 @@ def _minimal_exponents(exps) -> list:
     return minimal
 
 
-def reduce_poly(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder) -> Polynomial:
-    """Full multivariate division remainder of f by basis."""
+def reduce_poly(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder,
+                leading: Sequence[tuple] | None = None) -> Polynomial:
+    """Full multivariate division remainder of f by basis.
+
+    ``leading`` may hold the basis's leading terms in basis order, for a
+    caller that divides many polynomials by one basis.
+    """
     if not basis:
         return f
     variables = f.variables
     key = order.key_function(variables)
-    lts = [(g.leading_term(order), g) for g in basis]
+    if leading is None:
+        leading = [g.leading_term(order) for g in basis]
+    lts = list(zip(leading, basis))
     remainder: dict = {}
     work = dict(f.terms)
     while work:
@@ -185,6 +192,7 @@ class Ideal:
         self.generators = gens
         self.order = order or default_order(self.variables)
         self._basis = None
+        self._leading = None  # leading terms of _basis
 
     def __repr__(self):
         shown = ", ".join(g.to_str(self.order) for g in self.generators[:6])
@@ -199,6 +207,7 @@ class Ideal:
     def groebner_basis(self) -> list:
         if self._basis is None:
             self._basis = buchberger(self.generators, self.order)
+            self._leading = [g.leading_term(self.order) for g in self._basis]
         return self._basis
 
     @cached_property
@@ -221,7 +230,7 @@ class Ideal:
         return len(basis) == 1 and basis[0].is_constant()
 
     def normal_form(self, f: Polynomial) -> Polynomial:
-        return reduce_poly(f, self.groebner_basis(), self.order)
+        return reduce_poly(f, self.groebner_basis(), self.order, self._leading)
 
     def __contains__(self, f: Polynomial) -> bool:
         if f.is_zero():

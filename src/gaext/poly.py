@@ -149,12 +149,6 @@ class Polynomial:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def degree_in(self, name: str) -> int:
-        if not self.terms:
-            return -1
-        i = self.variables.index(name)
-        return max(e[i] for e in self.terms)
-
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
@@ -174,9 +168,6 @@ class Polynomial:
 
     def leading_coefficient(self, order: MonomialOrder | None = None) -> Fraction:
         return self.leading_term(order)[1]
-
-    def coefficient_of(self, exps: Exponents) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
 
     def used_variables(self) -> set:
         used = set()

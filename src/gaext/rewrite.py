@@ -122,10 +122,7 @@ def reduce_step(f: Polynomial, n: int):
     k, j = top
     it = f.variables.index("t")
     names = generator_names(n)
-    word = Polynomial.zero(names)
-
-    def gen(name):
-        return Polynomial.variable(name, names)
+    last = n + 4  # index of the generator u t^(n+2) - v^n t^(n+1)
 
     group = []
     for exps, coeff in f.terms.items():
@@ -137,19 +134,25 @@ def reduce_step(f: Polynomial, n: int):
         if i > j + (n + 2) * k:
             return NotRegular(_term_str(coeff, exps), (i, j, k))
     stripped = []
+    terms: dict = {}  # exponents over names -> coefficient
     for i, coeff, exps in sorted(group):
         stripped.append(_term_str(coeff, exps))
+        part = [0] * len(names)  # exponents of G0..G(n+4)
         if i <= j:
-            part = (gen("G1") ** i) * (gen("G0") ** (j - i)) * (gen("G2") ** k)
+            part[0], part[1], part[2] = j - i, i, k
         else:
             q, r = divmod(i - j, n + 2)
+            part[1] = j
             if q <= k - 1:
-                part = (gen("G1") ** j * gen(f"G{2 + r}")
-                        * gen(f"G{n + 4}") ** q * gen("G2") ** (k - q - 1))
+                part[2 + r] += 1
+                part[last] += q
+                part[2] += k - q - 1
             else:
                 # q == k forces r == 0 under the regularity inequality
-                part = gen("G1") ** j * gen(f"G{n + 4}") ** k
-        word = word + part * coeff
+                part[last] = k
+        part = tuple(part)
+        terms[part] = terms.get(part, 0) + coeff
+    word = Polynomial(names, terms)
     remainder = f - expand_expression(word, n)
     return (word, remainder, " + ".join(stripped))
 

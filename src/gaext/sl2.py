@@ -292,7 +292,7 @@ def verify_family2(p: int, q: int, nu_max: int, truncations=None) -> Report:
     for label, g in sorted(gens.items()):
         if grading.weight_of(g) <= 0:
             continue
-        image = derivation(g)
+        image = sequence.subalgebra.apply_derivation(g)
         if image.is_zero():
             continue
         weights = [grading.monomial_weight(e) for e in image.terms]

@@ -9,7 +9,8 @@ from time import perf_counter
 
 import pytest
 
-from gaext.cli import (EXIT_FAIL, EXIT_PASS, EXIT_USAGE, build_parser, main)
+from gaext.cli import (EXIT_FAIL, EXIT_INDETERMINATE, EXIT_PASS, EXIT_USAGE,
+                       build_parser, main)
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -140,3 +141,24 @@ def test_family1_nu_max_4_is_fast(capsys):
     assert code == EXIT_PASS
     assert "graded-ideal\tpass\tn=1,nu=4" in out
     assert perf_counter() - start < 30
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("membership", "u*v", "--n", "1", "--max-steps", "-1"), "--max-steps must be >= 0"),
+    (("verify", "section7", "--trunc-deg", "-3"), "--trunc-deg must be >= 0"),
+    (("verify", "family1", "--n", "1", "--trunc-len", "-1"), "--trunc-len must be >= 0"),
+    (("verify", "gluing", "--n", "1", "--p", "0"), "--p must be >= 1"),
+    (("verify", "smoothext", "--q", "0"), "--q must be >= 1"),
+    (("verify", "gluing", "--n", "-1"), "--n must be >= 0"),
+])
+def test_out_of_range_flags_are_usage_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"usage error: {message}\n"
+
+
+def test_zero_max_steps_is_valid(capsys):
+    code, out, _ = run(capsys, "membership", "u*v", "--n", "1", "--max-steps", "0")
+    assert code == EXIT_INDETERMINATE
+    assert "status\tStepLimit" in out

@@ -1,8 +1,12 @@
 """Truncated spans, membership certificates, graded ideal sequences."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
 import gaext.groebner
+from gaext.derivation import Derivation
 from gaext.filtered import (FilteredSubalgebra, IdealSequence, Member,
                             NotFoundWithinBounds, TruncationParams,
                             compute_m_nu, generated_in_degree_one,
@@ -11,7 +15,9 @@ from gaext.filtered import (FilteredSubalgebra, IdealSequence, Member,
 from gaext.groebner import Ideal, InputError
 from gaext.poly import Polynomial, parse
 from gaext.report import PASS
-from gaext.sl2 import base_power_ideal, sl2_ring, sl2_sequence, sl2_subalgebra
+from gaext.sl2 import (base_power_ideal, family1_derivation, family2_subalgebra,
+                       sl2_ring, sl2_sequence, sl2_subalgebra, verify_family2)
+from gaext.trivial import TrivialExtension
 
 
 def test_truncation_params_validation_and_scaling():
@@ -147,3 +153,59 @@ def test_sequence_axioms_run_no_buchberger(monkeypatch):
     monkeypatch.setattr(gaext.groebner, "buchberger", counting)
     assert verify_sequence_axioms(sequence).overall == PASS
     assert calls == []
+
+
+def _random_polynomial(variables, rng, max_exp=3, terms=6):
+    """Random polynomial with rational coefficients, not reduced."""
+    out = {}
+    for _ in range(terms):
+        exps = tuple(rng.randint(0, max_exp) for _ in variables)
+        out[exps] = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+    return Polynomial(variables, out)
+
+
+def _table_subalgebras():
+    """(subalgebra, has relations) for the sl2, family-one and plane derivations."""
+    d1 = family1_derivation(1)
+    family1 = FilteredSubalgebra(d1.ring, d1, ("X0", "X1"),
+                                 {name: d1.ring.var(name) for name in ("Y0", "Y1", "Y2", "Z")})
+    plane = TrivialExtension({"t": parse("t", ("x", "y", "t"))}).subalgebra()
+    return [(sl2_subalgebra(), True), (family1, False), (plane, False)]
+
+
+def test_derivation_table_matches_leibniz_rule():
+    rng = random.Random(20141)
+    for sub, presented in _table_subalgebras():
+        ring, derivation = sub.ambient, sub.derivation
+        unreduced_inputs = 0
+        for _ in range(60):
+            f = _random_polynomial(ring.variables, rng)
+            expected = ring.normal_form(derivation._apply_raw(f))
+            assert sub.apply_derivation(f) == expected
+            unreduced_inputs += ring.normal_form(f) != f
+        # inputs divisible by x*v are not normal forms in O(SL2)
+        assert (unreduced_inputs > 0) == presented
+
+
+def test_family2_differentiates_each_monomial_once(monkeypatch):
+    calls = []
+    original = Derivation.__call__
+
+    def counting(self, f):
+        calls.append(f)
+        return original(self, f)
+
+    monkeypatch.setattr(Derivation, "__call__", counting)
+    assert verify_family2(3, 2, 3).overall == PASS
+    assert all(f.is_monomial() for f in calls)
+    assert len(calls) == len(set(calls))
+    assert len(calls) < 10000  # 34 997 when every image was re-derived
+
+
+def test_derivation_table_belongs_to_one_subalgebra():
+    first = family2_subalgebra(2, 1, 6)
+    second = family2_subalgebra(2, 1, 6)
+    assert first.derivation is second.derivation  # the cached sl2 derivation
+    first.apply_derivation(first.generators["x^2*u"])
+    assert first._d_rows and not second._d_rows
+    assert not hasattr(first.derivation, "_d_rows")
