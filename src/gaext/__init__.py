@@ -5,7 +5,8 @@ from .derivation import (NOT_HOMOGENEOUS, UNBOUNDED, Derivation, Grading,
 from .filtered import (FilteredSubalgebra, IdealSequence, Member,
                        NotFoundWithinBounds, TruncationParams, compute_m_nu,
                        generated_in_degree_one, subalgebra_contains,
-                       truncated_span, verify_sequence_axioms)
+                       truncated_span, truncated_spans,
+                       verify_sequence_axioms)
 from .groebner import (INDETERMINATE, Ideal, InputError, PresentedRing,
                        buchberger, is_primary_at_origin,
                        weighted_monomial_ideal)
@@ -21,6 +22,7 @@ __all__ = [
     "TruncationParams", "UNBOUNDED", "bidegree", "buchberger",
     "compute_m_nu", "default_order", "generated_in_degree_one",
     "homogeneity_degree", "is_primary_at_origin", "parse", "ring",
-    "subalgebra_contains", "truncated_span", "verify_sequence_axioms",
+    "subalgebra_contains", "truncated_span", "truncated_spans",
+    "verify_sequence_axioms",
     "weighted_monomial_ideal",
 ]

@@ -91,7 +91,10 @@ def run_suite(args) -> Report:
     if name == "cross-family":
         trunc = _truncations(
             args, lambda nu: sl2.family2_truncation(1, 1, nu), args.nu_max)
-        return sl2.verify_cross_family(args.nu_max, trunc)
+        # the dominance probe is a level-1 search over P(2,1)
+        probe = _truncations(
+            args, lambda nu: sl2.family2_truncation(2, 1, nu), 1)[1]
+        return sl2.verify_cross_family(args.nu_max, trunc, probe)
     raise UsageError(f"unknown suite {name!r}")
 
 

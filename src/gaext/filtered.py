@@ -9,8 +9,9 @@ the recorded truncation — sound always, complete only within the bounds.
 
 ``IdealSequence.compute(subalgebra, truncations)`` is the one builder of a
 graded sequence: it takes one ``TruncationParams`` per level (the list
-index is nu), computes each m_nu once, and keeps the per-level bounds in
-``IdealSequence.truncations`` so every check can report its own level's.
+index is nu), builds every level's span in one pass, computes each m_nu
+once, and keeps the per-level bounds in ``IdealSequence.truncations`` so
+every check can report its own level's.
 """
 
 from __future__ import annotations
@@ -117,6 +118,11 @@ class FilteredSubalgebra:
         return out
 
     def _base_monomials(self, degree: int):
+        """(label, exponents, total degree) for base monomials up to degree."""
+        if self.module_spanning:
+            # the generator list already holds every base-monomial multiple
+            yield ("1", None, 0)
+            return
         idx = [self.ambient.variables.index(v) for v in self.base_vars]
         n = len(self.ambient.variables)
         for total in range(degree + 1):
@@ -128,61 +134,100 @@ class FilteredSubalgebra:
                     f"{self.ambient.variables[i]}^{exps[i]}" if exps[i] > 1
                     else self.ambient.variables[i]
                     for i in sorted(set(combo)))
-                yield (label or "1",
-                       Polynomial(self.ambient.variables, {tuple(exps): Fraction(1)}))
+                yield (label or "1", tuple(exps), total)
 
-    def _words(self, length: int, degree: int):
+    def _words(self, length: int, degree: int) -> list:
+        """(label, product, length, peak) for nonzero generator words.
+
+        A word is a multiset of at most ``length`` generators whose every
+        prefix, in sorted label order, has total degree at most ``degree``;
+        peak is the largest such prefix degree.  Each word of length k is its
+        (k-1)-prefix times one more generator, so it is normal-formed once.
+        Words come in order of length, then of sorted label tuple.
+        """
         labels = sorted(self.generators)
-        yield ("1", self.ambient.one())
+        gens = [self.generators[lab] for lab in labels]
+        out = [("1", self.ambient.one(), 0, 0)]
+        layer = []  # (label indices, product, peak) of the words of length ell
+        for i, g in enumerate(gens):
+            if g.total_degree() <= degree:  # generators are normal forms
+                layer.append(((i,), g, g.total_degree()))
         for ell in range(1, length + 1):
-            for combo in itertools.combinations_with_replacement(labels, ell):
-                poly = self.generators[combo[0]]  # already a normal form
-                for lab in combo[1:]:
-                    if poly.is_zero() or poly.total_degree() > degree:
-                        break
-                    poly = self.ambient.normal_form(poly * self.generators[lab])
-                if poly.is_zero() or poly.total_degree() > degree:
+            if ell > 1:
+                longer = []
+                for combo, poly, peak in layer:
+                    for j in range(combo[-1], len(gens)):
+                        prod = self.ambient.normal_form(poly * gens[j])
+                        deg = prod.total_degree()
+                        if 0 <= deg <= degree:  # the zero polynomial has degree -1
+                            longer.append((combo + (j,), prod, max(peak, deg)))
+                layer = longer
+            for combo, poly, peak in layer:
+                label = "*".join(f"{labels[i]}^{combo.count(i)}" if combo.count(i) > 1
+                                 else labels[i] for i in sorted(set(combo)))
+                out.append((label, poly, ell, peak))
+        return out
+
+
+def truncated_spans(subalgebra: FilteredSubalgebra,
+                    truncations: Sequence[TruncationParams]) -> list:
+    """One deterministic spanning list per truncation, built in one pass.
+
+    The list for a truncation (L, d) holds the base-monomial times
+    generator-word products whose word has at most L factors, whose base
+    monomial, word prefixes and product have total degree at most d.
+    Scalar-duplicate candidates are dropped, keeping the first in
+    base-monomial-major, word-minor order; the survivors are sorted by
+    total degree, then by leading monomial under the ambient order, then
+    by label.  Words and base monomials are enumerated once, at the largest
+    bounds, and each product is normal-formed once for all truncations.
+    """
+    truncations = tuple(truncations)
+    if not truncations:
+        return []
+    ambient = subalgebra.ambient
+    key = ambient.order.key_function(ambient.variables)
+    bounds = [(t.word_length, t.degree) for t in truncations]
+    top_degree = max(d for _, d in bounds)
+    words = subalgebra._words(max(L for L, _ in bounds), top_degree)
+    seen = [{} for _ in truncations]  # per truncation: canonical form -> entry
+    for mlab, mono, mdeg in subalgebra._base_monomials(top_degree):
+        for wlab, word, length, peak in words:
+            reach = max(mdeg, peak)
+            if not any(length <= L and reach <= d for L, d in bounds):
+                continue
+            # words are normal forms already
+            poly = word if mdeg == 0 else ambient.normal_form(word.times_monomial(mono))
+            if poly.is_zero():
+                continue
+            deg = poly.total_degree()
+            reach = max(reach, deg)
+            levels = [s for (L, d), s in zip(bounds, seen) if length <= L and reach <= d]
+            if not levels:
+                continue
+            canon = frozenset(poly.monic().terms.items())
+            entry = None
+            for level in levels:
+                if canon in level:
                     continue
-                label = "*".join(f"{lab}^{combo.count(lab)}" if combo.count(lab) > 1
-                                 else lab for lab in sorted(set(combo)))
-                yield (label, poly)
+                if entry is None:
+                    if mlab == "1":
+                        label = wlab
+                    elif wlab == "1":
+                        label = mlab
+                    else:
+                        label = f"{mlab}*{wlab}"
+                    entry = ((deg, key(max(poly.terms, key=key)), label),
+                             SpanElement(label, poly))
+                level[canon] = entry
+    return [[el for _, el in sorted(level.values(), key=lambda entry: entry[0])]
+            for level in seen]
 
 
 def truncated_span(subalgebra: FilteredSubalgebra,
                    truncation: TruncationParams) -> list:
-    """Deterministic spanning list of base-monomial times generator-word products.
-
-    Scalar-duplicate candidates are dropped; the survivors are sorted by
-    total degree and then by leading monomial under the ambient order.
-    """
-    ambient = subalgebra.ambient
-    seen = {}
-    words = list(subalgebra._words(truncation.word_length, truncation.degree))
-    if subalgebra.module_spanning:
-        pairs = [(("1", ambient.one()), w) for w in words]
-    else:
-        bases = list(subalgebra._base_monomials(truncation.degree))
-        pairs = [(m, w) for m in bases for w in words]
-    for (mlab, mono), (wlab, word) in pairs:
-        # words are normal forms already
-        poly = word if mlab == "1" else ambient.normal_form(mono * word)
-        if poly.is_zero() or poly.total_degree() > truncation.degree:
-            continue
-        canon = frozenset(poly.monic().terms.items())
-        if canon in seen:
-            continue
-        if mlab == "1":
-            label = wlab
-        elif wlab == "1":
-            label = mlab
-        else:
-            label = f"{mlab}*{wlab}"
-        seen[canon] = SpanElement(label, poly)
-    key = ambient.order.key_function(ambient.variables)
-    out = sorted(seen.values(),
-                 key=lambda e: (e.poly.total_degree(),
-                                key(max(e.poly.terms, key=key)), e.label))
-    return out
+    """The spanning list of ``truncated_spans`` for one truncation."""
+    return truncated_spans(subalgebra, [truncation])[0]
 
 
 @dataclass(frozen=True)
@@ -222,18 +267,19 @@ def subalgebra_contains(subalgebra: FilteredSubalgebra, f: Polynomial,
 
 
 def compute_m_nu(subalgebra: FilteredSubalgebra, nu: int,
-                 truncation: TruncationParams) -> Ideal:
+                 truncation: TruncationParams, span: list | None = None) -> Ideal:
     """Ideal generated by D^nu of the truncated kernel of D^(nu+1).
 
     Sound: every generator genuinely lies in the level-nu graded ideal.
     Complete only up to the truncation; enlarging it never shrinks the
-    result.
+    result.  ``span`` may hold ``truncated_span(subalgebra, truncation)``
+    when the caller has built it already.
     """
     if nu < 0:
         raise InputError("filtration level must be nonnegative")
     ambient = subalgebra.ambient
     d = subalgebra.apply_derivation
-    elements = truncated_span(subalgebra, truncation)
+    elements = truncated_span(subalgebra, truncation) if span is None else span
     echelon = Echelon(ambient.variables, ambient.order)
     level_images = {}
     kernel_combos = []
@@ -285,8 +331,9 @@ class IdealSequence:
         truncations = tuple(truncations)
         if not truncations:
             raise InputError("an ideal sequence needs at least level 0")
-        ideals = [compute_m_nu(subalgebra, nu, trunc)
-                  for nu, trunc in enumerate(truncations)]
+        spans = truncated_spans(subalgebra, truncations)
+        ideals = [compute_m_nu(subalgebra, nu, trunc, span)
+                  for nu, (trunc, span) in enumerate(zip(truncations, spans))]
         return cls(subalgebra, truncations, ideals)
 
     def __getitem__(self, nu: int) -> Ideal:

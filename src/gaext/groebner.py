@@ -343,7 +343,10 @@ class PresentedRing:
             raise StructuralError("element outside the ring's variables")
         if not self.relations:
             return f
-        return self.relation_ideal.normal_form(f)
+        ideal = self.relation_ideal
+        if not any(_divides(lt, e) for e in f.terms for lt, _ in ideal._leading):
+            return f  # no term is divisible by a basis leading term
+        return ideal.normal_form(f)
 
     def is_zero_element(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero()

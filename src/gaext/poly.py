@@ -242,6 +242,14 @@ class Polynomial:
 
     __rmul__ = __mul__
 
+    def times_monomial(self, exps: Exponents) -> "Polynomial":
+        """self times the monic monomial with exponent vector exps."""
+        out = Polynomial.__new__(Polynomial)
+        out.variables = self.variables
+        out.terms = {tuple(a + b for a, b in zip(e, exps)): c
+                     for e, c in self.terms.items()}
+        return out
+
     def __truediv__(self, c):
         return self * (Fraction(1) / Fraction(c))
 

@@ -104,6 +104,24 @@ def test_explicit_truncation_flags(capsys):
     assert "d=8" in out
 
 
+def test_cross_family_probe_honours_truncation_flags(capsys):
+    code, out, _ = run(capsys, "verify", "cross-family", "--nu-max", "1")
+    assert code == EXIT_PASS
+    probe_lines = [line for line in out.splitlines()
+                   if line.startswith(("dominating-level", "generator-membership"))]
+    assert len(probe_lines) == 7
+    assert probe_lines[0] == ("dominating-level\tpass\tL=1,d=10\t"
+                              "least n with <x,y>^(n+2) inside m_1: 1")
+    assert all("L=1,d=10" in line for line in probe_lines)
+    code, out, _ = run(capsys, "verify", "cross-family", "--nu-max", "1",
+                       "--trunc-deg", "8")
+    assert code == EXIT_PASS
+    probe_lines = [line for line in out.splitlines()
+                   if line.startswith(("dominating-level", "generator-membership"))]
+    assert len(probe_lines) == 7
+    assert all("L=1,d=8\t" in line for line in probe_lines)
+
+
 def test_sequence_axioms_suite(capsys):
     code, out, _ = run(capsys, "verify", "sequence-axioms", "--nu-max", "2",
                        "--n", "1")

@@ -1,5 +1,6 @@
 """Truncated spans, membership certificates, graded ideal sequences."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -11,11 +12,12 @@ from gaext.filtered import (FilteredSubalgebra, IdealSequence, Member,
                             NotFoundWithinBounds, TruncationParams,
                             compute_m_nu, generated_in_degree_one,
                             subalgebra_contains, truncated_span,
-                            verify_sequence_axioms)
-from gaext.groebner import Ideal, InputError
+                            truncated_spans, verify_sequence_axioms)
+from gaext.groebner import Ideal, InputError, PresentedRing
 from gaext.poly import Polynomial, parse
 from gaext.report import PASS
-from gaext.sl2 import (base_power_ideal, family1_derivation, family2_subalgebra,
+from gaext.sl2 import (base_power_ideal, family1_derivation, family1_subalgebra,
+                       family1_truncation, family2_subalgebra, family2_truncation,
                        sl2_ring, sl2_sequence, sl2_subalgebra, verify_family2)
 from gaext.trivial import TrivialExtension
 
@@ -45,6 +47,118 @@ def test_truncated_span_deterministic_and_deduplicated():
     degs = [e.poly.total_degree() for e in span1]
     assert max(degs) <= trunc.degree
     assert degs == sorted(degs)
+
+
+def _reference_span(sub, trunc):
+    """One truncation's span, enumerated on its own: every word product is
+    recomputed from its first factor, every base monomial multiplied in."""
+    ring = sub.ambient
+    length, degree = trunc.word_length, trunc.degree
+
+    def too_big(poly):
+        return poly.is_zero() or poly.total_degree() > degree
+
+    words = [("1", ring.one())]
+    for ell in range(1, length + 1):
+        for combo in itertools.combinations_with_replacement(sorted(sub.generators), ell):
+            poly = sub.generators[combo[0]]
+            for lab in combo[1:]:
+                if too_big(poly):
+                    break
+                poly = ring.normal_form(poly * sub.generators[lab])
+            if not too_big(poly):
+                words.append(("*".join(f"{lab}^{combo.count(lab)}" if combo.count(lab) > 1
+                                       else lab for lab in sorted(set(combo))), poly))
+    bases = [("1", ring.one())]
+    if not sub.module_spanning:
+        bases = []
+        for total in range(degree + 1):
+            for combo in itertools.combinations_with_replacement(sub.base_vars, total):
+                exps = tuple(combo.count(v) for v in ring.variables)
+                label = "*".join(f"{v}^{combo.count(v)}" if combo.count(v) > 1 else v
+                                 for v in sorted(set(combo), key=ring.variables.index))
+                bases.append((label or "1", Polynomial(ring.variables, {exps: 1})))
+    seen = {}
+    for mlab, mono in bases:
+        for wlab, word in words:
+            poly = ring.normal_form(mono * word)
+            if too_big(poly):
+                continue
+            canon = frozenset(poly.monic().terms.items())
+            if canon not in seen:
+                label = "*".join(lab for lab in (mlab, wlab) if lab != "1") or "1"
+                seen[canon] = (label, poly)
+    key = ring.order.key_function(ring.variables)
+    return sorted(seen.values(), key=lambda e: (e[1].total_degree(),
+                                                key(max(e[1].terms, key=key)), e[0]))
+
+
+T = TruncationParams
+
+
+def _levels(fn, nu_max):
+    return [fn(nu) for nu in range(nu_max + 1)]
+
+
+def _family2(p, q):
+    levels = _levels(lambda nu: family2_truncation(p, q, nu), 3)
+    return family2_subalgebra(p, q, levels[-1].degree), levels
+
+
+def _degree_dropping():
+    """Q[x,s,t]/(st - 1): the word a*b = x*t^2*s = x*t has degree below its
+    prefix a, and base x times the word c gives the same x*t."""
+    ring = PresentedRing(("x", "s", "t"), [parse("s*t - 1", ("x", "s", "t"))])
+    sub = FilteredSubalgebra(ring, Derivation(ring, {}), ("x",),
+                             {"a": ring.parse("x*t^2"), "b": ring.parse("s"),
+                              "c": ring.parse("t")})
+    return sub, [T(2, 2), T(1, 3), T(2, 3)]
+
+
+SPAN_SEQUENCES = {
+    "degree-dropping": _degree_dropping,
+    "sl2": lambda: (sl2_subalgebra(), _levels(lambda nu: T(nu, 2 * nu + 2), 4)),
+    "family1-n1": lambda: (family1_subalgebra(1),
+                           _levels(lambda nu: family1_truncation(1, nu), 3)),
+    "family1-n2": lambda: (family1_subalgebra(2),
+                           _levels(lambda nu: family1_truncation(2, nu), 2)),
+    "family1-n3": lambda: (family1_subalgebra(3),
+                           _levels(lambda nu: family1_truncation(3, nu), 2)),
+    "family2-1-1": lambda: _family2(1, 1),
+    "family2-2-1": lambda: _family2(2, 1),
+    "family2-3-2": lambda: _family2(3, 2),
+    "equal-levels": lambda: (family1_subalgebra(1), [T(2, 12)] * 3),
+    "non-nested-levels": lambda: (family1_subalgebra(1), [T(3, 5), T(1, 13), T(2, 9)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPAN_SEQUENCES))
+def test_one_pass_spans_match_per_level_spans(name):
+    sub, truncations = SPAN_SEQUENCES[name]()
+    spans = truncated_spans(sub, truncations)
+    assert len(spans) == len(truncations)
+    for trunc, span in zip(truncations, spans):
+        assert [(e.label, e.poly) for e in span] == _reference_span(sub, trunc), trunc
+
+
+def test_each_product_is_normal_formed_once_per_sequence(monkeypatch):
+    sub = family1_subalgebra(1)
+    top = TruncationParams(2, 12)
+    IdealSequence.compute(sub, [top] * 3)  # fills the derivation table
+    calls = []
+    original = PresentedRing.normal_form
+
+    def counting(ring, f):
+        if ring is sub.ambient:
+            calls.append(f)
+        return original(ring, f)
+
+    monkeypatch.setattr(PresentedRing, "normal_form", counting)
+    IdealSequence.compute(sub, [top] * 3)
+    per_sequence = len(calls)
+    calls.clear()
+    truncated_span(sub, top)
+    assert per_sequence == len(calls) > 0  # three per-level spans made 3x as many
 
 
 def test_subalgebra_contains_witness_is_exact():

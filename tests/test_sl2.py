@@ -1,5 +1,8 @@
 """Surface algebra, the two extension families, gluing, cross-family checks."""
 
+import itertools
+from fractions import Fraction
+
 import pytest
 
 import gaext.filtered
@@ -7,7 +10,7 @@ import gaext.sl2
 from gaext.filtered import IdealSequence, TruncationParams
 from gaext.groebner import InputError
 from gaext.poly import Polynomial, parse
-from gaext.report import PASS
+from gaext.report import INDETERMINATE_STATUS, PASS
 from gaext.sl2 import (base_power_ideal, family1_ideal, family1_psi,
                        family1_subalgebra, family1_truncation, family2_bezout, family2_grading,
                        family2_nonnegative_generators, family2_sequence,
@@ -72,6 +75,33 @@ def test_family2_generators_have_nonnegative_weight():
         assert w is not None and w >= 0, label
 
 
+def _filtered_multisets(p, q, degree):
+    """Nonnegative-weight normal-form monomials, by filtering every multiset
+    of the four variables through the validating constructor."""
+    weights = family2_weights(p, q)
+    names = ("x", "y", "u", "v")
+    out = {}
+    for total in range(degree + 1):
+        for combo in itertools.combinations_with_replacement(names, total):
+            exps = tuple(combo.count(n) for n in names)
+            if exps[0] and exps[3]:
+                continue
+            if sum(e * weights[n] for e, n in zip(exps, names)) < 0:
+                continue
+            label = "*".join(f"{n}^{e}" if e > 1 else n for n, e in zip(names, exps) if e)
+            out[label or "1"] = Polynomial(names, {exps: Fraction(1)})
+    return out
+
+
+@pytest.mark.parametrize("p, q", [(1, 1), (2, 1), (3, 2)])
+def test_family2_generators_match_filtered_multisets(p, q):
+    for degree in (0, 1, 2, 5, 12, 20):
+        gens = family2_nonnegative_generators(p, q, degree)
+        expected = _filtered_multisets(p, q, degree)
+        assert list(gens) == list(expected)  # the same labels, in the same order
+        assert all(gens[label] == g for label, g in expected.items())
+
+
 def test_family2_report_passes():
     report = verify_family2(2, 1, 2)
     assert report.overall == PASS
@@ -105,6 +135,33 @@ def test_cross_family_report_passes():
     assert "1" in by_id["dominating-level"].witness
 
 
+def test_cross_family_tight_probe_is_indeterminate():
+    # at d = 2 the computed m_1 of P(2,1) misses y^3, a lower bound only
+    report = verify_cross_family(1, probe=TruncationParams(1, 2))
+    by_id = {c.check_id: c for c in report.checks}
+    assert by_id["dominating-level"].status == INDETERMINATE_STATUS
+    assert by_id["dominating-level"].params == (("L", 1), ("d", 2))
+    assert "generator-membership" not in by_id
+    assert report.overall == INDETERMINATE_STATUS
+
+
+def test_cross_family_missed_generator_is_indeterminate(monkeypatch):
+    # search each generator with no words at all, so only constants are found
+    original = gaext.sl2.subalgebra_contains
+
+    def without_words(sub, f, truncation):
+        return original(sub, f, TruncationParams(0, truncation.degree))
+
+    monkeypatch.setattr(gaext.sl2, "subalgebra_contains", without_words)
+    report = verify_cross_family(1)
+    by_id = {}
+    for c in report.checks:
+        by_id.setdefault(c.check_id, []).append(c.status)
+    assert by_id["dominating-level"] == [PASS]
+    assert by_id["generator-membership"] == [INDETERMINATE_STATUS] * 6
+    assert report.overall == INDETERMINATE_STATUS
+
+
 def test_cross_family_levels_print_their_own_bounds():
     report = verify_cross_family(3)
     levels = [dict(c.params) for c in report.checks if c.check_id == "p0-graded-ideal"]
@@ -124,9 +181,9 @@ def test_each_level_is_computed_once(monkeypatch):
     calls = []
     original = gaext.filtered.compute_m_nu
 
-    def counting(subalgebra, nu, truncation):
+    def counting(subalgebra, nu, truncation, span=None):
         calls.append(nu)
-        return original(subalgebra, nu, truncation)
+        return original(subalgebra, nu, truncation, span)
 
     monkeypatch.setattr(gaext.filtered, "compute_m_nu", counting)
     monkeypatch.setattr(gaext.sl2, "compute_m_nu", counting)

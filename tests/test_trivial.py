@@ -5,7 +5,7 @@ import pytest
 from gaext.filtered import IdealSequence, TruncationParams
 from gaext.groebner import Ideal, InputError
 from gaext.poly import parse
-from gaext.report import PASS
+from gaext.report import INDETERMINATE_STATUS, PASS
 from gaext.sl2 import sl2_sequence
 from gaext.trivial import (FIRST_KIND, SECOND_KIND, TrivialExtension,
                            classify_kind, ideal_sequence_algebra, plane_ring,
@@ -55,6 +55,15 @@ def test_stability_detects_unstable_generator():
     ext = TrivialExtension({"t2": _p("t^2")})
     report = ext.verify_stability(TruncationParams(2, 5))
     assert report.overall != PASS
+
+
+def test_stability_miss_within_truncation_is_indeterminate():
+    # d/dt(x*t^2) = 2*x*t needs the word xt, which L = 0 excludes
+    ext = TrivialExtension({"xt": _p("x*t"), "xt2": _p("x*t^2")})
+    report = ext.verify_stability(TruncationParams(0, 5))
+    statuses = {dict(c.params)["gen"]: c.status for c in report.checks}
+    assert statuses == {"xt": PASS, "xt2": INDETERMINATE_STATUS}
+    assert report.overall == INDETERMINATE_STATUS
 
 
 def test_ideal_sequence_algebra_roundtrip():
