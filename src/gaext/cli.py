@@ -10,14 +10,15 @@ from functools import lru_cache
 from .filtered import TruncationParams
 from .groebner import InputError
 from .poly import StructuralError, parse
-from .report import INDETERMINATE_STATUS, PASS, Report
-from .rewrite import CHART_VARS, Member, NotMember, rewrite_membership
+from .report import FAIL, INDETERMINATE_STATUS, PASS, Report, status_of
+from .rewrite import CHART_VARS, rewrite_membership
 from .trivial import verify_smoothext
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INDETERMINATE = 3
+EXIT_CODES = {PASS: EXIT_PASS, FAIL: EXIT_FAIL, INDETERMINATE_STATUS: EXIT_INDETERMINATE}
 
 SUITES = ("family1", "family2", "smoothext", "section7", "gluing",
           "sequence-axioms", "cross-family")
@@ -171,11 +172,7 @@ def main(argv=None) -> int:
         for line in trace.lines():
             print(line)
         print(f"note\t{trace.note}")
-        if isinstance(trace.result, Member):
-            return EXIT_PASS
-        if isinstance(trace.result, NotMember):
-            return EXIT_FAIL
-        return EXIT_INDETERMINATE
+        return EXIT_CODES[status_of(trace.result)]
 
     try:
         report = run_suite(args)
@@ -189,11 +186,7 @@ def main(argv=None) -> int:
         sys.stdout.write(report.to_json())
     else:
         sys.stdout.write(report.text())
-    if report.overall == PASS:
-        return EXIT_PASS
-    if report.overall == INDETERMINATE_STATUS:
-        return EXIT_INDETERMINATE
-    return EXIT_FAIL
+    return EXIT_CODES[report.overall]
 
 
 def entry():

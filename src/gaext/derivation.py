@@ -7,23 +7,7 @@ from typing import Mapping
 
 from .groebner import InputError, PresentedRing
 from .poly import Polynomial, StructuralError
-
-
-class Unbounded:
-    """Sentinel for a bounded nilpotency search that found no vanishing power."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "UNBOUNDED"
-
-
-UNBOUNDED = Unbounded()
+from .report import Undecided
 
 
 class NotHomogeneous:
@@ -96,7 +80,7 @@ class Derivation:
         return out
 
     def nilpotency_degree(self, f: Polynomial, bound: int | None = None):
-        """Least nu with D^(nu+1) f = 0, or UNBOUNDED past the search bound."""
+        """Least nu with D^(nu+1) f = 0, or Undecided past the search bound."""
         g = self.ring.normal_form(f)
         if bound is None:
             bound = 2 * max(g.total_degree(), 0) + 4
@@ -105,19 +89,19 @@ class Derivation:
             g = self(g)
             nu += 1
             if nu > bound:
-                return UNBOUNDED
+                return Undecided("NoVanishingPower", (("bound", bound),))
         return nu - 1 if nu else -1
 
     def graded_leading_term(self, f: Polynomial, bound: int | None = None):
         """Pair (nu, D^nu f / nu!) for the least nu with D^(nu+1) f = 0.
 
         This is the image of f in the associated graded piece of its level.
-        Returns UNBOUNDED when the nilpotency search exhausts its bound, and
-        (-1, 0) for f = 0.
+        Returns the ``Undecided`` of ``nilpotency_degree`` when its search
+        exhausts the bound, and (-1, 0) for f = 0.
         """
         nu = self.nilpotency_degree(f, bound)
-        if nu is UNBOUNDED:
-            return UNBOUNDED
+        if isinstance(nu, Undecided):
+            return nu
         if nu < 0:
             return (-1, self.ring.zero())
         top = self.power(f, nu)

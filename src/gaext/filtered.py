@@ -25,7 +25,7 @@ from .derivation import Derivation
 from .groebner import Ideal, InputError, PresentedRing
 from .linalg import Echelon
 from .poly import Polynomial, StructuralError
-from .report import Report
+from .report import Member, Report, Undecided
 
 
 @dataclass(frozen=True)
@@ -230,28 +230,13 @@ def truncated_span(subalgebra: FilteredSubalgebra,
     return truncated_spans(subalgebra, [truncation])[0]
 
 
-@dataclass(frozen=True)
-class Member:
-    """Positive membership certificate: f equals the stated combination."""
-
-    combination: tuple  # ((label, Fraction), ...)
-    witness: str
-
-
-class NotFoundWithinBounds:
-    """Membership search exhausted its truncation; not a disproof."""
-
-    def __init__(self, truncation: TruncationParams):
-        self.truncation = truncation
-
-    def __repr__(self):
-        return (f"NotFoundWithinBounds(L={self.truncation.word_length}, "
-                f"d={self.truncation.degree})")
-
-
 def subalgebra_contains(subalgebra: FilteredSubalgebra, f: Polynomial,
                         truncation: TruncationParams):
-    """Exact linear search for f inside the truncated span."""
+    """Exact linear search for f inside the truncated span.
+
+    Returns a ``Member`` whose certificate is the ((label, coefficient), ...)
+    combination, or ``Undecided`` with the truncation: not a disproof.
+    """
     ambient = subalgebra.ambient
     target = ambient.normal_form(f)
     echelon = Echelon(ambient.variables, ambient.order)
@@ -260,7 +245,7 @@ def subalgebra_contains(subalgebra: FilteredSubalgebra, f: Polynomial,
         echelon.insert(el.poly, el.label)
     residual, combo = echelon.reduce(target)
     if not residual.is_zero():
-        return NotFoundWithinBounds(truncation)
+        return Undecided("NotFoundWithinBounds", truncation.as_params())
     combination = tuple(sorted((t, c) for t, c in combo.items() if c))
     witness = " + ".join(f"({c})*{t}" for t, c in combination) or "0"
     return Member(combination, witness)
@@ -365,8 +350,9 @@ def verify_sequence_axioms(sequence: IdealSequence) -> Report:
 def generated_in_degree_one(sequence: IdealSequence) -> list:
     """Per-level comparison of m_nu with the nu-th power of m_1.
 
-    Returns a list of (nu, equal, witness) for nu >= 2.  A witness names a
-    generator of m_nu outside m_1^nu when the comparison fails.
+    Returns a list of (nu, equal, witness) for nu >= 2.  When the two
+    differ, the witness names a generator of one that the other lacks,
+    looking in m_nu first.
     """
     results = []
     if len(sequence.ideals) < 3:
@@ -379,9 +365,10 @@ def generated_in_degree_one(sequence: IdealSequence) -> list:
         witness = ""
         equal = power.contains_ideal(target) and target.contains_ideal(power)
         if not equal:
-            for g in target.generators:
-                if g not in power:
-                    witness = f"{g} in m_{nu} but not in m_1^{nu}"
-                    break
+            sides = ((target, power, f"m_{nu}", f"m_1^{nu}"),
+                     (power, target, f"m_1^{nu}", f"m_{nu}"))
+            witness = next(f"{g} in {name} but not in {other_name}"
+                           for ideal, other, name, other_name in sides
+                           for g in ideal.generators if g not in other)
         results.append((nu, equal, witness))
     return results

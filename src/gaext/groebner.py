@@ -13,30 +13,11 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from .poly import (MonomialOrder, Polynomial, StructuralError, default_order)
+from .report import Undecided
 
 
 class InputError(ValueError):
     """Invalid mathematical input (not a structural mismatch)."""
-
-
-class Indeterminate:
-    """Result of a bounded search that exhausted its bound."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "INDETERMINATE"
-
-    def __bool__(self):
-        raise ValueError("indeterminate result used as a boolean")
-
-
-INDETERMINATE = Indeterminate()
 
 
 def _divides(a, b) -> bool:
@@ -390,7 +371,7 @@ def is_primary_at_origin(ideal: Ideal, bound: int | None = None):
     True exactly when the ideal sits inside the maximal ideal at the origin
     and contains a power of each variable.  The power search runs up to
     4 * (max generator degree) by default; exhausting it yields
-    INDETERMINATE rather than a silent verdict.
+    ``Undecided`` with the bound rather than a silent verdict.
     """
     if len(ideal.variables) != 2:
         raise InputError("primary-at-origin test lives in a two-variable ring")
@@ -412,5 +393,5 @@ def is_primary_at_origin(ideal: Ideal, bound: int | None = None):
             if v ** n in ideal:
                 break
         else:
-            return INDETERMINATE
+            return Undecided("PowerNotFound", (("bound", bound),))
     return True

@@ -1,4 +1,8 @@
-"""Deterministic check reports for the verification suites."""
+"""Deterministic check reports and the verdicts they are built from.
+
+A verdict is ``True`` or ``Member`` (a proof), ``False`` or ``NotMember``
+(a disproof), or ``Undecided`` (no verdict within the recorded bounds).
+"""
 
 from __future__ import annotations
 
@@ -8,6 +12,55 @@ from dataclasses import dataclass, field
 PASS = "pass"
 FAIL = "fail"
 INDETERMINATE_STATUS = "indeterminate"
+
+
+@dataclass(frozen=True)
+class Undecided:
+    """No verdict within the bounds: a search or a truncation ran out."""
+
+    reason: str
+    bounds: tuple = ()  # ((name, value), ...)
+
+    def __bool__(self):
+        raise ValueError("undecided result used as a boolean")
+
+    def __repr__(self):
+        if not self.bounds:
+            return self.reason
+        return f"{self.reason}({', '.join(f'{k}={v}' for k, v in self.bounds)})"
+
+
+@dataclass(frozen=True)
+class Member:
+    """Positive certificate: the input equals the stated combination."""
+
+    certificate: object
+    text: str
+
+    def __str__(self):
+        return self.text
+
+
+@dataclass(frozen=True)
+class NotMember:
+    """Disproof: a term that no member can contain, with its exponents."""
+
+    witness: str
+    exponents: tuple = ()
+
+    def __str__(self):
+        return self.witness
+
+
+def status_of(verdict) -> str:
+    """The report status of a verdict; anything else is a TypeError."""
+    if verdict is True or isinstance(verdict, Member):
+        return PASS
+    if verdict is False or isinstance(verdict, NotMember):
+        return FAIL
+    if isinstance(verdict, Undecided):
+        return INDETERMINATE_STATUS
+    raise TypeError(f"not a verdict: {verdict!r}")
 
 
 @dataclass(frozen=True)
@@ -32,13 +85,11 @@ class Report:
     params: tuple = ()
     checks: list = field(default_factory=list)
 
-    def add(self, check_id: str, ok, params=(), witness: str = "") -> Check:
-        if ok is True:
-            status = PASS
-        elif ok is False:
-            status = FAIL
-        else:
-            status = INDETERMINATE_STATUS
+    def add(self, check_id: str, verdict, params=(), witness: str = "") -> Check:
+        """Record a verdict; a verdict object's text is the default witness."""
+        status = status_of(verdict)
+        if not witness and not isinstance(verdict, bool):
+            witness = str(verdict)
         check = Check(check_id, status, tuple(params), witness)
         self.checks.append(check)
         return check

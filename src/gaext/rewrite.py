@@ -18,6 +18,7 @@ from types import MappingProxyType
 
 from .groebner import InputError
 from .poly import BIDEG_BOTTOM, Polynomial, bidegree
+from .report import FAIL, PASS, Member, NotMember, Undecided, status_of
 
 CHART_VARS = ("t", "v", "u")
 
@@ -51,34 +52,10 @@ def expand_expression(expression: Polynomial, n: int) -> Polynomial:
 
 
 @dataclass(frozen=True)
-class NotRegular:
-    """A term violating the regularity inequality i <= j + (n+2)k."""
-
-    term: str
-    exponents: tuple
-
-
-@dataclass(frozen=True)
 class RewriteStep:
     bidegree: tuple
     stripped: str      # the maximal-bidegree term group
     word: Polynomial   # expression in the generator variables
-
-
-@dataclass(frozen=True)
-class Member:
-    expression: Polynomial
-    text: str
-
-
-@dataclass(frozen=True)
-class NotMember:
-    witness: str
-
-
-class StepLimit:
-    def __repr__(self):
-        return "StepLimit"
 
 
 @dataclass
@@ -93,12 +70,8 @@ class RewriteTrace:
         out = [f"input\t{self.input}\tn={self.n}"]
         for s in self.steps:
             out.append(f"step\tbideg={s.bidegree}\tstrip={s.stripped}\tword={s.word}")
-        if isinstance(self.result, Member):
-            out.append(f"member\t{self.result.text}")
-        elif isinstance(self.result, NotMember):
-            out.append(f"not-member\t{self.result.witness}")
-        else:
-            out.append(f"status\t{self.result!r}")
+        tag = {PASS: "member", FAIL: "not-member"}.get(status_of(self.result), "status")
+        out.append(f"{tag}\t{self.result}")
         return out
 
 
@@ -108,11 +81,12 @@ def _term_str(coeff: Fraction, exps: tuple) -> str:
 
 
 def reduce_step(f: Polynomial, n: int):
-    """One descent step: (word, remainder) or NotRegular.
+    """One descent step: (word, remainder, stripped) or NotMember.
 
     The word is a polynomial in the generator variables whose expansion
     cancels every maximal-bidegree term of f, so the remainder has strictly
-    smaller bidegree.
+    smaller bidegree.  A NotMember carries the first term violating the
+    regularity inequality i <= j + (n+2)k, with its exponents (i, j, k).
     """
     if f.is_zero():
         raise InputError("reduce_step needs a nonzero polynomial")
@@ -132,7 +106,7 @@ def reduce_step(f: Polynomial, n: int):
             group.append((exps[it], coeff, exps))
     for i, coeff, exps in sorted(group):
         if i > j + (n + 2) * k:
-            return NotRegular(_term_str(coeff, exps), (i, j, k))
+            return NotMember(_term_str(coeff, exps), (i, j, k))
     stripped = []
     terms: dict = {}  # exponents over names -> coefficient
     for i, coeff, exps in sorted(group):
@@ -173,15 +147,15 @@ def rewrite_membership(f: Polynomial, n: int, max_steps: int = 10000) -> Rewrite
     steps = 0
     while not current.is_zero():
         if steps >= max_steps:
-            trace.result = StepLimit()
+            trace.result = Undecided("StepLimit", (("max_steps", max_steps),))
             return trace
         top = bidegree(current)
         if last is not None and not (top < last):
             raise AssertionError("bidegree did not strictly decrease")
         last = top
         outcome = reduce_step(current, n)
-        if isinstance(outcome, NotRegular):
-            trace.result = NotMember(outcome.term)
+        if isinstance(outcome, NotMember):
+            trace.result = outcome
             return trace
         word, remainder, stripped = outcome
         trace.steps.append(RewriteStep(top, stripped, word))

@@ -15,12 +15,11 @@ from math import gcd
 
 from .blowup import fixed_locus_ideal
 from .derivation import Derivation, Grading, homogeneity_degree
-from .filtered import (FilteredSubalgebra, IdealSequence, Member,
-                       TruncationParams, compute_m_nu, generated_in_degree_one,
-                       subalgebra_contains)
+from .filtered import (FilteredSubalgebra, IdealSequence, TruncationParams,
+                       compute_m_nu, generated_in_degree_one, subalgebra_contains)
 from .groebner import Ideal, InputError, PresentedRing, weighted_monomial_ideal
 from .poly import Polynomial
-from .report import Report
+from .report import Report, Undecided
 
 SL2_VARS = ("x", "y", "u", "v")
 
@@ -50,6 +49,26 @@ def base_power_ideal(k: int) -> Ideal:
     if k == 0:
         return Ideal([Polynomial.one(variables)], variables=variables)
     return Ideal(gens, variables=variables)
+
+
+def _add_graded_check(report: Report, check_id: str, computed: Ideal,
+                      expected: Ideal, params: tuple, truncation: TruncationParams,
+                      witness: str):
+    """Report computed = expected, where computed is a truncated lower bound.
+
+    A computed generator outside the expected ideal disproves the claim; an
+    expected generator that the truncation missed leaves it undecided.
+    """
+    verdict = computed.equals(expected)
+    if not verdict:
+        escaping = next((g for g in computed.generators if g not in expected), None)
+        if escaping is not None:
+            witness += f": {escaping} escapes"
+        else:
+            missing = next(g for g in expected.generators if g not in computed)
+            verdict = Undecided("LowerBound", truncation.as_params())
+            witness += f": missing {missing}"
+    report.add(check_id, verdict, params + truncation.as_params(), witness)
 
 
 def sl2_sequence(nu_max: int) -> IdealSequence:
@@ -154,13 +173,13 @@ def verify_family1(n: int, nu_max: int, truncations=None) -> Report:
         family1_subalgebra(n),
         truncations or [family1_truncation(n, nu) for nu in range(nu_max + 1)])
     for nu in range(1, nu_max + 1):
-        expected = base_power_ideal((n + 2) * nu)
-        report.add("graded-ideal", sequence[nu].equals(expected),
-                   (("n", n), ("nu", nu)) + sequence.truncations[nu].as_params(),
-                   f"m_{nu} vs <x,y>^{(n + 2) * nu}")
+        _add_graded_check(report, "graded-ideal", sequence[nu],
+                          base_power_ideal((n + 2) * nu), (("n", n), ("nu", nu)),
+                          sequence.truncations[nu], f"m_{nu} vs <x,y>^{(n + 2) * nu}")
     for nu, equal, witness in generated_in_degree_one(sequence):
-        report.add("degree-one-generation", equal, (("n", n), ("nu", nu)),
-                   witness)
+        # both sides are lower bounds, so a difference disproves nothing
+        verdict = equal or Undecided("LowerBound", sequence.truncations[nu].as_params())
+        report.add("degree-one-generation", verdict, (("n", n), ("nu", nu)), witness)
 
     fixed = fixed_locus_ideal(family1_derivation(n))
     gen_vars = family1_variables(n)
@@ -278,10 +297,10 @@ def verify_family2(p: int, q: int, nu_max: int, truncations=None) -> Report:
                                   for nu in range(max(nu_max, 1) + 1)]
     sequence = family2_sequence(p, q, nu_max, truncations)
     for nu in range(1, nu_max + 1):
-        expected = weighted_monomial_ideal(p, q, nu)
-        params = (("p", p), ("q", q), ("nu", nu)) + sequence.truncations[nu].as_params()
-        report.add("graded-ideal", sequence[nu].equals(expected), params,
-                   f"m_{nu} vs weighted({p},{q},{nu})")
+        _add_graded_check(report, "graded-ideal", sequence[nu],
+                          weighted_monomial_ideal(p, q, nu),
+                          (("p", p), ("q", q), ("nu", nu)), sequence.truncations[nu],
+                          f"m_{nu} vs weighted({p},{q},{nu})")
 
     if (p, q) == (2, 1) and nu_max >= 2:
         x3 = Polynomial(("x", "y"), {(3, 0): Fraction(1)})
@@ -416,11 +435,9 @@ def verify_cross_family(nu_max: int = 3, truncations=None, probe=None) -> Report
     report = Report("cross-family", (("nu_max", nu_max),))
     sequence = family2_sequence(1, 1, nu_max, truncations)
     for nu in range(1, nu_max + 1):
-        expected = base_power_ideal(2 * nu)
-        ok = sequence[nu].equals(expected)
-        report.add("p0-graded-ideal", ok,
-                   (("nu", nu),) + sequence.truncations[nu].as_params(),
-                   f"m_{nu}(P(1,1)) vs <x,y>^{2 * nu}")
+        _add_graded_check(report, "p0-graded-ideal", sequence[nu],
+                          base_power_ideal(2 * nu), (("nu", nu),),
+                          sequence.truncations[nu], f"m_{nu}(P(1,1)) vs <x,y>^{2 * nu}")
 
     probe = probe or family2_truncation(2, 1, 1)
     sub = family2_subalgebra(2, 1, probe.degree)
@@ -430,13 +447,11 @@ def verify_cross_family(nu_max: int = 3, truncations=None, probe=None) -> Report
         if m1.contains_ideal(base_power_ideal(n + 2)):
             found = n
             break
-    report.add("dominating-level", True if found == 1 else None, probe.as_params(),
+    verdict = True if found == 1 else Undecided("LowerBound", probe.as_params())
+    report.add("dominating-level", verdict, probe.as_params(),
                f"least n with <x,y>^(n+2) inside m_1: {found}")
     if found is not None:
         for name, image in sorted(family1_psi(found).items()):
-            result = subalgebra_contains(sub, image, probe)
-            ok = isinstance(result, Member)
-            report.add("generator-membership", True if ok else None,
-                       (("gen", name),) + probe.as_params(),
-                       result.witness if ok else repr(result))
+            report.add("generator-membership", subalgebra_contains(sub, image, probe),
+                       (("gen", name),) + probe.as_params())
     return report

@@ -8,18 +8,15 @@ import random
 import time
 
 from gaext.derivation import Derivation
-from gaext.filtered import (FilteredSubalgebra, IdealSequence, Member,
-                            NotFoundWithinBounds, TruncationParams,
+from gaext.filtered import (FilteredSubalgebra, IdealSequence, TruncationParams,
                             compute_m_nu, generated_in_degree_one,
                             subalgebra_contains, verify_sequence_axioms)
 from gaext.groebner import (Ideal, PresentedRing, buchberger, reduce_poly,
                             weighted_monomial_ideal)
 from gaext.poly import Polynomial, default_order, parse
-from gaext.report import PASS
+from gaext.report import PASS, Member, NotMember, Undecided
 from gaext.rewrite import (CHART_VARS, chart_generators, expand_expression,
                            rewrite_membership)
-from gaext.rewrite import Member as RewriteMember
-from gaext.rewrite import NotMember as RewriteNotMember
 from gaext.sl2 import (base_power_ideal, family1_ideal, family1_psi,
                        family1_subalgebra, family1_truncation,
                        family2_sequence, family2_subalgebra,
@@ -125,13 +122,15 @@ def test_criterion_07_rewriter_agreement():
         for _ in range(100):
             f = _random_chart_member(n, rng)
             trace = rewrite_membership(f, n)
-            assert isinstance(trace.result, RewriteMember)
-            assert expand_expression(trace.result.expression, n) == f
+            assert isinstance(trace.result, Member)
+            assert expand_expression(trace.result.certificate, n) == f
             bidegs = [s.bidegree for s in trace.steps]
             assert bidegs == sorted(bidegs, reverse=True)
             assert len(set(bidegs)) == len(bidegs)
             verdict = subalgebra_contains(oracle, f, oracle_trunc)
-            if not isinstance(verdict, NotFoundWithinBounds):
+            if isinstance(verdict, Undecided):
+                assert verdict.bounds == oracle_trunc.as_params()
+            else:
                 assert isinstance(verdict, Member)
         for _ in range(50):
             f = _random_chart_member(n, rng)
@@ -140,7 +139,7 @@ def test_criterion_07_rewriter_agreement():
             i = j + (n + 2) * k + rng.randint(1, 3)
             bad = f + Polynomial(CHART_VARS, {(i, j, k): 1})
             trace = rewrite_membership(bad, n)
-            assert isinstance(trace.result, RewriteNotMember)
+            assert isinstance(trace.result, NotMember)
 
 
 def test_criterion_08_smoothext_suite():

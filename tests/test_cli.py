@@ -179,4 +179,28 @@ def test_out_of_range_flags_are_usage_errors(capsys, argv, message):
 def test_zero_max_steps_is_valid(capsys):
     code, out, _ = run(capsys, "membership", "u*v", "--n", "1", "--max-steps", "0")
     assert code == EXIT_INDETERMINATE
-    assert "status\tStepLimit" in out
+    assert "status\tStepLimit(max_steps=0)" in out.splitlines()
+
+
+@pytest.mark.parametrize("argv, lines", [
+    (("verify", "family1", "--n", "1", "--nu-max", "2", "--trunc-deg", "4"),
+     ["graded-ideal\tindeterminate\tn=1,nu=2,L=2,d=4\tm_2 vs <x,y>^6: missing x^6",
+      "degree-one-generation\tindeterminate\tn=1,nu=2\ty^6 in m_1^2 but not in m_2"]),
+    (("verify", "cross-family", "--trunc-deg", "2"),
+     ["p0-graded-ideal\tindeterminate\tnu=2,L=1,d=2\tm_2(P(1,1)) vs <x,y>^4: missing x^4",
+      "dominating-level\tindeterminate\tL=1,d=2\t"
+      "least n with <x,y>^(n+2) inside m_1: None"]),
+])
+def test_truncated_lower_bounds_are_indeterminate(capsys, argv, lines):
+    # the computed m_2 is the zero ideal here, strictly inside the expected one
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_INDETERMINATE
+    indeterminate = [line for line in out.splitlines() if "\tindeterminate\t" in line]
+    assert indeterminate == lines
+    assert "\tfail\t" not in out
+
+
+def test_step_limit_status_line(capsys):
+    code, out, _ = run(capsys, "membership", "u*v", "--n", "1", "--max-steps", "0")
+    assert code == EXIT_INDETERMINATE
+    assert out.splitlines()[:2] == ["input\tv*u\tn=1", "status\tStepLimit(max_steps=0)"]

@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from gaext.derivation import (NOT_HOMOGENEOUS, UNBOUNDED, Derivation, Grading,
+from gaext.derivation import (NOT_HOMOGENEOUS, Derivation, Grading,
                               homogeneity_degree)
 from gaext.groebner import InputError, PresentedRing
 from gaext.poly import Polynomial, parse
+from gaext.report import Undecided
 
 XYUV = ("x", "y", "u", "v")
 
@@ -58,7 +59,11 @@ def test_nilpotency_degrees():
 def test_nilpotency_unbounded():
     ring = PresentedRing(("t",))
     growth = Derivation(ring, {"t": ring.var("t")})
-    assert growth.nilpotency_degree(ring.var("t")) is UNBOUNDED
+    # the default bound is 2 * deg(t) + 4
+    result = growth.nilpotency_degree(ring.var("t"))
+    assert result == Undecided("NoVanishingPower", (("bound", 6),))
+    assert growth.graded_leading_term(ring.var("t"), bound=3) == Undecided(
+        "NoVanishingPower", (("bound", 3),))
 
 
 def test_graded_leading_term():

@@ -8,14 +8,13 @@ import pytest
 
 import gaext.groebner
 from gaext.derivation import Derivation
-from gaext.filtered import (FilteredSubalgebra, IdealSequence, Member,
-                            NotFoundWithinBounds, TruncationParams,
+from gaext.filtered import (FilteredSubalgebra, IdealSequence, TruncationParams,
                             compute_m_nu, generated_in_degree_one,
                             subalgebra_contains, truncated_span,
                             truncated_spans, verify_sequence_axioms)
 from gaext.groebner import Ideal, InputError, PresentedRing
 from gaext.poly import Polynomial, parse
-from gaext.report import PASS
+from gaext.report import PASS, Member, Undecided
 from gaext.sl2 import (base_power_ideal, family1_derivation, family1_subalgebra,
                        family1_truncation, family2_subalgebra, family2_truncation,
                        sl2_ring, sl2_sequence, sl2_subalgebra, verify_family2)
@@ -170,7 +169,7 @@ def test_subalgebra_contains_witness_is_exact():
     assert isinstance(result, Member)
     span = {e.label: e.poly for e in truncated_span(sub, trunc)}
     rebuilt = Polynomial.zero(ring.variables)
-    for label, coeff in result.combination:
+    for label, coeff in result.certificate:
         rebuilt = rebuilt + span[label] * coeff
     assert ring.normal_form(rebuilt) == ring.normal_form(f)
 
@@ -181,7 +180,9 @@ def test_subalgebra_contains_respects_truncation():
     tight = TruncationParams(1, 2)
     wide = TruncationParams(3, 6)
     f = ring.parse("u^2*v")
-    assert isinstance(subalgebra_contains(sub, f, tight), NotFoundWithinBounds)
+    missed = subalgebra_contains(sub, f, tight)
+    assert missed == Undecided("NotFoundWithinBounds", tight.as_params())
+    assert repr(missed) == "NotFoundWithinBounds(L=1, d=2)"
     assert isinstance(subalgebra_contains(sub, f, wide), Member)
 
 

@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from gaext.groebner import (INDETERMINATE, Ideal, InputError, PresentedRing,
+from gaext.groebner import (Ideal, InputError, PresentedRing,
                             buchberger, is_primary_at_origin, reduce_poly,
                             weighted_monomial_ideal)
 from gaext.poly import Polynomial, default_order, parse
+from gaext.report import Undecided
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -159,4 +160,5 @@ def test_primary_at_origin():
         is_primary_at_origin(Ideal([parse("1 + x", XY) - parse("x", XY)]))
     bounded = is_primary_at_origin(
         Ideal([parse("x^2 + y^3", XY), parse("y^4", XY)]), bound=1)
-    assert bounded is INDETERMINATE
+    assert isinstance(bounded, Undecided)
+    assert bounded.bounds == (("bound", 1),)

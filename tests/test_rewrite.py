@@ -6,8 +6,8 @@ import pytest
 
 from gaext.groebner import InputError
 from gaext.poly import Polynomial, bidegree, parse
-from gaext.rewrite import (CHART_VARS, Member, NotMember, NotRegular,
-                           chart_generators, expand_expression,
+from gaext.report import Member, NotMember
+from gaext.rewrite import (CHART_VARS, chart_generators, expand_expression,
                            generator_names, reduce_step, rewrite_membership)
 
 TVU = CHART_VARS
@@ -44,8 +44,9 @@ def test_each_generator_is_member():
 def test_reduce_step_regularity_violation():
     # t^5*u with n=1: i=5 > j + (n+2)k = 3
     outcome = reduce_step(parse("t^5*u", TVU), 1)
-    assert isinstance(outcome, NotRegular)
+    assert isinstance(outcome, NotMember)
     assert outcome.exponents == (5, 0, 1)
+    assert outcome.witness == "t^5*u"
 
 
 def test_boundary_case_pure_power():
@@ -72,7 +73,7 @@ def test_random_members_roundtrip():
             f = _random_member(n, rng)
             trace = rewrite_membership(f, n)
             assert isinstance(trace.result, Member)
-            assert expand_expression(trace.result.expression, n) == f
+            assert expand_expression(trace.result.certificate, n) == f
 
 
 def test_random_violations_rejected():

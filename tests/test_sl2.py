@@ -8,9 +8,9 @@ import pytest
 import gaext.filtered
 import gaext.sl2
 from gaext.filtered import IdealSequence, TruncationParams
-from gaext.groebner import InputError
+from gaext.groebner import Ideal, InputError
 from gaext.poly import Polynomial, parse
-from gaext.report import INDETERMINATE_STATUS, PASS
+from gaext.report import FAIL, INDETERMINATE_STATUS, PASS, Report
 from gaext.sl2 import (base_power_ideal, family1_ideal, family1_psi,
                        family1_subalgebra, family1_truncation, family2_bezout, family2_grading,
                        family2_nonnegative_generators, family2_sequence,
@@ -23,6 +23,23 @@ def test_sl2_sequence_matches_base_powers():
     assert sequence[0].is_unit()
     for nu in range(1, 4):
         assert sequence[nu].equals(base_power_ideal(nu))
+
+
+@pytest.mark.parametrize("computed, status, witness", [
+    (["x^2", "x*y", "y^2"], PASS, "w"),
+    (["x^2", "x*y"], INDETERMINATE_STATUS, "w: missing y^2"),
+    ([], INDETERMINATE_STATUS, "w: missing x^2"),
+    (["x^2", "x"], FAIL, "w: x escapes"),
+])
+def test_graded_check_fails_only_on_an_escaping_generator(computed, status, witness):
+    xy = ("x", "y")
+    report = Report("s")
+    gaext.sl2._add_graded_check(
+        report, "graded-ideal", Ideal([parse(g, xy) for g in computed], variables=xy),
+        base_power_ideal(2), (("nu", 1),), TruncationParams(1, 4), "w")
+    (check,) = report.checks
+    assert (check.status, check.params, check.witness) == (
+        status, (("nu", 1), ("L", 1), ("d", 4)), witness)
 
 
 def test_family1_psi_kills_defining_ideal():
