@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Mapping
 
 from .groebner import InputError, PresentedRing
@@ -49,6 +50,10 @@ class Derivation:
         if extra:
             raise StructuralError(f"images given for unknown variables: {sorted(extra)}")
         self.images = imgs
+        # (variable index, image terms) for every variable D does not kill
+        self._leibniz = tuple((i, imgs[name].terms)
+                              for i, name in enumerate(ring.variables)
+                              if not imgs[name].is_zero())
         for rel in ring.relations:
             if not self._apply_raw(rel) in ring.relation_ideal:
                 raise InputError(
@@ -60,11 +65,29 @@ class Derivation:
         return f"<Derivation {parts or '0'}>"
 
     def _apply_raw(self, f: Polynomial) -> Polynomial:
-        out = Polynomial.zero(self.ring.variables)
-        for name, img in self.images.items():
-            if img.is_zero():
-                continue
-            out = out + img * f.diff(name)
+        """D(f) before the normal form, by the Leibniz rule on exponent tuples.
+
+        Sums e_i * c * x^(e - eps_i) * D(x_i) over the terms c * x^e of f and
+        the variables x_i with a nonzero image, in one dict.
+        """
+        terms: dict = {}
+        for exps, c in f.terms.items():
+            for i, image in self._leibniz:
+                k = exps[i]
+                if not k:
+                    continue
+                lowered = exps[:i] + (k - 1,) + exps[i + 1:]
+                kc = k * c
+                for ie, ic in image.items():
+                    e = tuple(map(add, lowered, ie))
+                    s = terms.get(e, 0) + kc * ic
+                    if s:
+                        terms[e] = s
+                    else:
+                        del terms[e]
+        out = Polynomial.__new__(Polynomial)
+        out.variables = f.variables
+        out.terms = terms
         return out
 
     def __call__(self, f: Polynomial) -> Polynomial:

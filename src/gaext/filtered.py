@@ -50,6 +50,29 @@ class TruncationParams:
         return (("L", self.word_length), ("d", self.degree))
 
 
+def _integral(terms: dict) -> dict:
+    """Terms with each coefficient of denominator 1 as an ``int``."""
+    return {e: c.numerator if c.denominator == 1 else c for e, c in terms.items()}
+
+
+def _add_scaled(out: dict, terms: dict, c) -> None:
+    """out += c * terms, dropping the terms that cancel."""
+    for e, k in terms.items():
+        s = out.get(e, 0) + c * k
+        if s:
+            out[e] = s
+        else:
+            del out[e]
+
+
+def _polynomial(variables: tuple, terms: dict) -> Polynomial:
+    """The polynomial of nonzero terms, with every coefficient a ``Fraction``."""
+    out = Polynomial.__new__(Polynomial)
+    out.variables = variables
+    out.terms = {e: c if type(c) is Fraction else Fraction(c) for e, c in terms.items()}
+    return out
+
+
 @dataclass(frozen=True)
 class SpanElement:
     """A spanning candidate: printable label plus its normal-form polynomial."""
@@ -88,34 +111,35 @@ class FilteredSubalgebra:
             gens[label] = nf
         self.generators = gens
         self.module_spanning = bool(module_spanning)
-        # exponents -> terms of derivation(monomial), filled on first use
+        # exponents -> terms of derivation(monomial), integral ones as int,
+        # filled on first use
         self._d_rows: dict = {}
 
-    def apply_derivation(self, f: Polynomial) -> Polynomial:
-        """D(f) in normal form, as the sum of f's coefficients times cached rows.
+    def _apply_terms(self, terms: dict) -> dict:
+        """The terms of D(f) in normal form, from the terms of f.
 
         D and the normal form are both linear, so the normal form of D(m) is
-        computed once per monomial m, by ``derivation``, and reused.
+        computed once per monomial m, by ``derivation``, and reused.  Only
+        products and sums of the coefficients happen here, so integer
+        coefficients stay ``int`` and the result is exact either way.
         """
-        if f.variables != self.ambient.variables:
-            raise StructuralError("argument outside the derivation's ring")
         rows = self._d_rows
-        terms: dict = {}
-        for exps, c in f.terms.items():
+        out: dict = {}
+        for exps, c in terms.items():
             row = rows.get(exps)
             if row is None:
-                monomial = Polynomial(f.variables, {exps: Fraction(1)})
-                row = rows[exps] = self.derivation(monomial).terms
-            for e, rc in row.items():
-                s = terms.get(e, 0) + c * rc
-                if s:
-                    terms[e] = s
-                else:
-                    del terms[e]
-        out = Polynomial.__new__(Polynomial)
-        out.variables = f.variables
-        out.terms = terms
+                monomial = Polynomial.__new__(Polynomial)
+                monomial.variables = self.ambient.variables
+                monomial.terms = {exps: Fraction(1)}
+                row = rows[exps] = _integral(self.derivation(monomial).terms)
+            _add_scaled(out, row, c)
         return out
+
+    def apply_derivation(self, f: Polynomial) -> Polynomial:
+        """D(f) in normal form, as the sum of f's coefficients times cached rows."""
+        if f.variables != self.ambient.variables:
+            raise StructuralError("argument outside the derivation's ring")
+        return _polynomial(f.variables, self._apply_terms(f.terms))
 
     def _base_monomials(self, degree: int):
         """(label, exponents, total degree) for base monomials up to degree."""
@@ -263,30 +287,32 @@ def compute_m_nu(subalgebra: FilteredSubalgebra, nu: int,
     if nu < 0:
         raise InputError("filtration level must be nonnegative")
     ambient = subalgebra.ambient
-    d = subalgebra.apply_derivation
+    variables = ambient.variables
+    apply = subalgebra._apply_terms
     elements = truncated_span(subalgebra, truncation) if span is None else span
-    echelon = Echelon(ambient.variables, ambient.order)
-    level_images = {}
+    echelon = Echelon(variables, ambient.order)
+    level_images = {}  # span index -> terms of D^nu of the element
     kernel_combos = []
     for idx, el in enumerate(elements):
-        g = el.poly
+        g = _integral(el.poly.terms)
         for _ in range(nu):
-            if g.is_zero():
+            if not g:
                 break
-            g = d(g)
+            g = apply(g)
         level_images[idx] = g
-        top = d(g)
-        if top.is_zero():
+        top = apply(g)
+        if not top:
             kernel_combos.append({idx: Fraction(1)})
             continue
-        combo = echelon.insert(top, idx)
+        combo = echelon.insert(_polynomial(variables, top), idx)
         if combo is not None:
             kernel_combos.append(combo)
     gens = {}
     for combo in kernel_combos:
-        image = Polynomial.zero(ambient.variables)
+        terms: dict = {}  # normal forms span normal forms
         for idx, c in combo.items():
-            image = image + level_images[idx] * c  # normal forms span normal forms
+            _add_scaled(terms, level_images[idx], c)
+        image = _polynomial(variables, terms)
         if image.is_zero():
             continue
         if not set(image.used_variables()) <= set(subalgebra.base_vars):

@@ -1,7 +1,8 @@
 """Sparse linear algebra over Q with dependency tracking.
 
 Vectors are polynomials; the echelon structure keys each pivot row by its
-leading monomial under a fixed monomial order.  Every inserted row carries a
+leading monomial under a fixed monomial order.  Pivot rows are kept as
+inserted, not scaled to leading coefficient 1.  Every inserted row carries a
 combination dict mapping original tags to rational coefficients, so a linear
 dependence comes back as an explicit kernel combination and a successful
 reduction to zero comes back as a membership witness.
@@ -18,17 +19,18 @@ from .poly import MonomialOrder, Polynomial, StructuralError
 class Echelon:
     """Row-echelon accumulator with combination tracking.
 
-    Rows are stored monic and indexed by leading exponent.  Reduction only
-    ever rewrites the current leading term, which strictly decreases under
-    the monomial order, so every reduction terminates.
+    Rows are stored as inserted (reduced, not normalised) and indexed by
+    leading exponent.  Reduction only ever rewrites the current leading
+    term, which strictly decreases under the monomial order, so every
+    reduction terminates.
     """
 
     def __init__(self, variables, order: MonomialOrder):
         self.variables = tuple(variables)
         self.order = order
         self._key = order.key_function(self.variables)
-        self.rows: dict = {}      # lead exponent -> monic Polynomial
-        self.combos: dict = {}    # lead exponent -> {tag: Fraction}
+        self.rows: dict = {}      # lead exponent -> reduced Polynomial
+        self.combos: dict = {}    # lead exponent -> {tag: Fraction} giving that row
 
     def __len__(self):
         return len(self.rows)
@@ -39,7 +41,7 @@ class Echelon:
             row = self.rows.get(lead)
             if row is None:
                 return vec, combo, lead
-            factor = vec.terms[lead]
+            factor = vec.terms[lead] / row.terms[lead]
             vec = vec - row * factor
             for tag, c in self.combos[lead].items():
                 s = combo.get(tag, Fraction(0)) - factor * c
@@ -60,9 +62,8 @@ class Echelon:
         residual, combo, lead = self._reduce(vec, {tag: Fraction(1)})
         if lead is None:
             return combo
-        c = residual.terms[lead]
-        self.rows[lead] = residual / c
-        self.combos[lead] = {t: x / c for t, x in combo.items()}
+        self.rows[lead] = residual
+        self.combos[lead] = combo
         return None
 
     def reduce(self, vec: Polynomial):

@@ -156,7 +156,7 @@ class Polynomial:
         if not self.terms:
             return self
         c = self.leading_coefficient()
-        return self if c == 1 else self * Fraction(1, 1) / c
+        return self if c == 1 else self / c
 
     def leading_term(self, order: MonomialOrder | None = None):
         """(exponents, coefficient) of the largest term under `order`."""

@@ -19,7 +19,7 @@ from .filtered import (FilteredSubalgebra, IdealSequence, TruncationParams,
                        compute_m_nu, generated_in_degree_one, subalgebra_contains)
 from .groebner import Ideal, InputError, PresentedRing, weighted_monomial_ideal
 from .poly import Polynomial
-from .report import Report, Undecided
+from .report import PASS, Report, Undecided
 
 SL2_VARS = ("x", "y", "u", "v")
 
@@ -53,11 +53,12 @@ def base_power_ideal(k: int) -> Ideal:
 
 def _add_graded_check(report: Report, check_id: str, computed: Ideal,
                       expected: Ideal, params: tuple, truncation: TruncationParams,
-                      witness: str):
+                      witness: str) -> bool:
     """Report computed = expected, where computed is a truncated lower bound.
 
     A computed generator outside the expected ideal disproves the claim; an
     expected generator that the truncation missed leaves it undecided.
+    Returns whether the line passed.
     """
     verdict = computed.equals(expected)
     if not verdict:
@@ -68,7 +69,8 @@ def _add_graded_check(report: Report, check_id: str, computed: Ideal,
             missing = next(g for g in expected.generators if g not in computed)
             verdict = Undecided("LowerBound", truncation.as_params())
             witness += f": missing {missing}"
-    report.add(check_id, verdict, params + truncation.as_params(), witness)
+    check = report.add(check_id, verdict, params + truncation.as_params(), witness)
+    return check.status == PASS
 
 
 def sl2_sequence(nu_max: int) -> IdealSequence:
@@ -296,22 +298,27 @@ def verify_family2(p: int, q: int, nu_max: int, truncations=None) -> Report:
     truncations = truncations or [family2_truncation(p, q, nu)
                                   for nu in range(max(nu_max, 1) + 1)]
     sequence = family2_sequence(p, q, nu_max, truncations)
+    reached = [True]  # reached[nu]: the graded-ideal line of level nu passed
     for nu in range(1, nu_max + 1):
-        _add_graded_check(report, "graded-ideal", sequence[nu],
-                          weighted_monomial_ideal(p, q, nu),
-                          (("p", p), ("q", q), ("nu", nu)), sequence.truncations[nu],
-                          f"m_{nu} vs weighted({p},{q},{nu})")
+        reached.append(_add_graded_check(
+            report, "graded-ideal", sequence[nu], weighted_monomial_ideal(p, q, nu),
+            (("p", p), ("q", q), ("nu", nu)), sequence.truncations[nu],
+            f"m_{nu} vs weighted({p},{q},{nu})"))
 
     if (p, q) == (2, 1) and nu_max >= 2:
+        # both checks compare truncated lower bounds, so they decide nothing
+        # until the levels they read have reached their expected ideals
         x3 = Polynomial(("x", "y"), {(3, 0): Fraction(1)})
         m1_squared = sequence[1] * sequence[1]
         in_m2 = x3 in sequence[2]
         in_m1_sq = x3 in m1_squared
-        report.add("cube-witness", in_m2 and not in_m1_sq,
-                   (("p", p), ("q", q)),
+        cube = (in_m2 and not in_m1_sq if reached[1]
+                else Undecided("LowerBound", sequence.truncations[1].as_params()))
+        report.add("cube-witness", cube, (("p", p), ("q", q)),
                    f"x^3 in m_2: {in_m2}; x^3 in m_1^2: {in_m1_sq}")
-        report.add("degree-one-fails", not sequence[2].equals(m1_squared),
-                   (("p", p), ("q", q)), "m_2 != m_1^2")
+        differs = (not sequence[2].equals(m1_squared) if reached[1] and reached[2]
+                   else Undecided("LowerBound", sequence.truncations[2].as_params()))
+        report.add("degree-one-fails", differs, (("p", p), ("q", q)), "m_2 != m_1^2")
 
     gens = family2_nonnegative_generators(
         p, q, min(truncations[1].degree, p + q + 2))

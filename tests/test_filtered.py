@@ -280,12 +280,56 @@ def _random_polynomial(variables, rng, max_exp=3, terms=6):
 
 
 def _table_subalgebras():
-    """(subalgebra, has relations) for the sl2, family-one and plane derivations."""
+    """(subalgebra, has relations) for the sl2, family-one and plane derivations,
+    and for D(t) = x/2 on Q[x,y,t], whose table rows are not integral."""
     d1 = family1_derivation(1)
     family1 = FilteredSubalgebra(d1.ring, d1, ("X0", "X1"),
                                  {name: d1.ring.var(name) for name in ("Y0", "Y1", "Y2", "Z")})
     plane = TrivialExtension({"t": parse("t", ("x", "y", "t"))}).subalgebra()
-    return [(sl2_subalgebra(), True), (family1, False), (plane, False)]
+    xyt = PresentedRing(("x", "y", "t"))
+    half = Derivation(xyt, {"t": parse("1/2*x", xyt.variables)})
+    halved = FilteredSubalgebra(xyt, half, ("x", "y"), {"t": xyt.var("t")})
+    return [(sl2_subalgebra(), True), (family1, False), (plane, False), (halved, False)]
+
+
+def _partial_derivative_sum(derivation, f):
+    """sum of D(x_i) * df/dx_i through Polynomial.diff, before any normal form."""
+    out = Polynomial.zero(f.variables)
+    for name, image in derivation.images.items():
+        out = out + image * f.diff(name)
+    return out
+
+
+def _all_fractions(polys):
+    return all(type(c) is Fraction for f in polys for c in f.terms.values())
+
+
+def test_leibniz_rows_match_partial_derivatives():
+    rng = random.Random(20149)
+    for sub, _ in _table_subalgebras():
+        derivation = sub.derivation
+        for _ in range(60):
+            f = _random_polynomial(sub.ambient.variables, rng)
+            raw = derivation._apply_raw(f)
+            assert raw == _partial_derivative_sum(derivation, f)
+            assert _all_fractions([raw, derivation(f), sub.apply_derivation(f)])
+
+
+def test_integer_chains_leave_only_fractions():
+    # the family-one generator ring's kernel is larger than its base, so its
+    # chains run through family one's subalgebra of O(SL2) instead
+    sl2, _, plane, halved = (sub for sub, _ in _table_subalgebras())
+    rows_with_fractions = []
+    for sub in (sl2, family1_subalgebra(1), plane, halved):
+        gens = []
+        for nu in range(3):
+            gens.extend(compute_m_nu(sub, nu, TruncationParams(2, 6)).generators)
+        assert gens and _all_fractions(gens)
+        coefficients = [c for row in sub._d_rows.values() for c in row.values()]
+        assert all(type(c) is int or c.denominator > 1 for c in coefficients)
+        rows_with_fractions.append(any(type(c) is Fraction for c in coefficients))
+    # only D(t) = x/2 has table rows with a non-integral coefficient
+    assert rows_with_fractions == [False, False, False, True]
 
 
 def test_derivation_table_matches_leibniz_rule():

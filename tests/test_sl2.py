@@ -137,6 +137,22 @@ def test_family2_cube_witness_details():
         TruncationParams(1, 6 * nu + 4) for nu in range(3))
 
 
+@pytest.mark.parametrize("degree, graded, cube, differs", [
+    (10, [PASS, PASS], PASS, PASS),
+    (4, [PASS, INDETERMINATE_STATUS], PASS, INDETERMINATE_STATUS),
+    (2, [INDETERMINATE_STATUS] * 2, INDETERMINATE_STATUS, INDETERMINATE_STATUS),
+])
+def test_family2_cube_checks_wait_for_their_levels(degree, graded, cube, differs):
+    # a level short of its expected ideal leaves the comparisons that read it open
+    report = verify_family2(2, 1, 2, [TruncationParams(1, degree)] * 3)
+    status = {c.check_id: c for c in report.checks}
+    assert [c.status for c in report.checks if c.check_id == "graded-ideal"] == graded
+    assert status["cube-witness"].status == cube
+    assert status["degree-one-fails"].status == differs
+    assert status["cube-witness"].params == status["degree-one-fails"].params == (
+        ("p", 2), ("q", 1))
+
+
 def test_gluing_checks_pass():
     for n in (1, 2):
         report = gluing_checks(n)
