@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
+from math import factorial
 from typing import Mapping
 
 from .groebner import InputError, PresentedRing
-from .poly import Polynomial, StructuralError
+from .poly import Polynomial, StructuralError, add_terms
 from .report import Undecided
 
 
@@ -74,64 +74,48 @@ class Derivation:
         for exps, c in f.terms.items():
             for i, image in self._leibniz:
                 k = exps[i]
-                if not k:
-                    continue
-                lowered = exps[:i] + (k - 1,) + exps[i + 1:]
-                kc = k * c
-                for ie, ic in image.items():
-                    e = tuple(map(add, lowered, ie))
-                    s = terms.get(e, 0) + kc * ic
-                    if s:
-                        terms[e] = s
-                    else:
-                        del terms[e]
-        out = Polynomial.__new__(Polynomial)
-        out.variables = f.variables
-        out.terms = terms
-        return out
+                if k:
+                    add_terms(terms, image, k * c, exps[:i] + (k - 1,) + exps[i + 1:])
+        return Polynomial._of(f.variables, terms)
 
     def __call__(self, f: Polynomial) -> Polynomial:
         if f.variables != self.ring.variables:
             raise StructuralError("argument outside the derivation's ring")
         return self.ring.normal_form(self._apply_raw(f))
 
-    def power(self, f: Polynomial, k: int) -> Polynomial:
-        """k-fold application."""
-        out = self.ring.normal_form(f)
-        for _ in range(k):
-            out = self(out)
-        return out
-
-    def nilpotency_degree(self, f: Polynomial, bound: int | None = None):
-        """Least nu with D^(nu+1) f = 0, or Undecided past the search bound."""
+    def _chain(self, f: Polynomial, bound: int | None):
+        """[f, D f, ..., D^nu f] in normal form, up to the last nonzero iterate,
+        or Undecided when D^bound f is still nonzero."""
         g = self.ring.normal_form(f)
         if bound is None:
             bound = 2 * max(g.total_degree(), 0) + 4
-        nu = 0
+        chain = []
         while not g.is_zero():
-            g = self(g)
-            nu += 1
-            if nu > bound:
+            chain.append(g)
+            if len(chain) > bound:
                 return Undecided("NoVanishingPower", (("bound", bound),))
-        return nu - 1 if nu else -1
+            g = self(g)
+        return chain
+
+    def nilpotency_degree(self, f: Polynomial, bound: int | None = None):
+        """Least nu with D^(nu+1) f = 0, or Undecided past the search bound."""
+        chain = self._chain(f, bound)
+        return chain if isinstance(chain, Undecided) else len(chain) - 1
 
     def graded_leading_term(self, f: Polynomial, bound: int | None = None):
         """Pair (nu, D^nu f / nu!) for the least nu with D^(nu+1) f = 0.
 
-        This is the image of f in the associated graded piece of its level.
-        Returns the ``Undecided`` of ``nilpotency_degree`` when its search
-        exhausts the bound, and (-1, 0) for f = 0.
+        This is the image of f in the associated graded piece of its level,
+        read off the same walk as ``nilpotency_degree``.  Returns its
+        ``Undecided`` when the walk exhausts the bound, and (-1, 0) for f = 0.
         """
-        nu = self.nilpotency_degree(f, bound)
-        if isinstance(nu, Undecided):
-            return nu
-        if nu < 0:
+        chain = self._chain(f, bound)
+        if isinstance(chain, Undecided):
+            return chain
+        if not chain:
             return (-1, self.ring.zero())
-        top = self.power(f, nu)
-        fact = 1
-        for i in range(2, nu + 1):
-            fact *= i
-        return (nu, top / Fraction(fact))
+        nu = len(chain) - 1
+        return (nu, chain[-1] / Fraction(factorial(nu)))
 
 
 class Grading:

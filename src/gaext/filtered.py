@@ -24,7 +24,7 @@ from typing import Sequence
 from .derivation import Derivation
 from .groebner import Ideal, InputError, PresentedRing
 from .linalg import Echelon
-from .poly import Polynomial, StructuralError
+from .poly import Polynomial, StructuralError, add_terms
 from .report import Member, Report, Undecided
 
 
@@ -55,22 +55,10 @@ def _integral(terms: dict) -> dict:
     return {e: c.numerator if c.denominator == 1 else c for e, c in terms.items()}
 
 
-def _add_scaled(out: dict, terms: dict, c) -> None:
-    """out += c * terms, dropping the terms that cancel."""
-    for e, k in terms.items():
-        s = out.get(e, 0) + c * k
-        if s:
-            out[e] = s
-        else:
-            del out[e]
-
-
 def _polynomial(variables: tuple, terms: dict) -> Polynomial:
     """The polynomial of nonzero terms, with every coefficient a ``Fraction``."""
-    out = Polynomial.__new__(Polynomial)
-    out.variables = variables
-    out.terms = {e: c if type(c) is Fraction else Fraction(c) for e, c in terms.items()}
-    return out
+    return Polynomial._of(variables, {e: c if type(c) is Fraction else Fraction(c)
+                                      for e, c in terms.items()})
 
 
 @dataclass(frozen=True)
@@ -85,9 +73,12 @@ class FilteredSubalgebra:
     """Finitely generated subalgebra of a presented ring, with derivation.
 
     ``base_vars`` must be killed by the derivation (their span is where the
-    graded ideals live).  When ``module_spanning`` is set, the generator
-    list is declared closed under multiplication by base monomials up to
-    the degree bound, and span construction skips those redundant products.
+    graded ideals live).  When ``module_spanning`` is set, the generators
+    are declared to span the subalgebra linearly up to the degree bound:
+    every product of base monomials and generators of degree at most d is
+    a combination of 1 and the generators of degree at most d.  Span
+    construction then skips base monomials and words of two or more
+    generators, which would only add dependent products.
     """
 
     def __init__(self, ambient: PresentedRing, derivation: Derivation,
@@ -128,11 +119,9 @@ class FilteredSubalgebra:
         for exps, c in terms.items():
             row = rows.get(exps)
             if row is None:
-                monomial = Polynomial.__new__(Polynomial)
-                monomial.variables = self.ambient.variables
-                monomial.terms = {exps: Fraction(1)}
+                monomial = Polynomial._of(self.ambient.variables, {exps: Fraction(1)})
                 row = rows[exps] = _integral(self.derivation(monomial).terms)
-            _add_scaled(out, row, c)
+            add_terms(out, row, c)
         return out
 
     def apply_derivation(self, f: Polynomial) -> Polynomial:
@@ -169,6 +158,8 @@ class FilteredSubalgebra:
         (k-1)-prefix times one more generator, so it is normal-formed once.
         Words come in order of length, then of sorted label tuple.
         """
+        if self.module_spanning:
+            length = min(length, 1)
         labels = sorted(self.generators)
         gens = [self.generators[lab] for lab in labels]
         out = [("1", self.ambient.one(), 0, 0)]
@@ -229,7 +220,12 @@ def truncated_spans(subalgebra: FilteredSubalgebra,
             levels = [s for (L, d), s in zip(bounds, seen) if length <= L and reach <= d]
             if not levels:
                 continue
-            canon = frozenset(poly.monic().terms.items())
+            lead = max(poly.terms, key=key)
+            c = poly.terms[lead]
+            # scalar multiples share a lead, so dividing by its coefficient
+            # makes one key per scalar class
+            canon = frozenset(poly.terms.items() if c == 1
+                              else ((e, k / c) for e, k in poly.terms.items()))
             entry = None
             for level in levels:
                 if canon in level:
@@ -241,8 +237,7 @@ def truncated_spans(subalgebra: FilteredSubalgebra,
                         label = mlab
                     else:
                         label = f"{mlab}*{wlab}"
-                    entry = ((deg, key(max(poly.terms, key=key)), label),
-                             SpanElement(label, poly))
+                    entry = ((deg, key(lead), label), SpanElement(label, poly))
                 level[canon] = entry
     return [[el for _, el in sorted(level.values(), key=lambda entry: entry[0])]
             for level in seen]
@@ -311,7 +306,7 @@ def compute_m_nu(subalgebra: FilteredSubalgebra, nu: int,
     for combo in kernel_combos:
         terms: dict = {}  # normal forms span normal forms
         for idx, c in combo.items():
-            _add_scaled(terms, level_images[idx], c)
+            add_terms(terms, level_images[idx], c)
         image = _polynomial(variables, terms)
         if image.is_zero():
             continue

@@ -12,7 +12,7 @@ from functools import cached_property
 from math import gcd
 from typing import Iterable, Sequence
 
-from .poly import (MonomialOrder, Polynomial, StructuralError, default_order)
+from .poly import MonomialOrder, Polynomial, StructuralError, add_terms, default_order
 from .report import Undecided
 
 
@@ -59,28 +59,16 @@ def reduce_poly(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder
     work = dict(f.terms)
     while work:
         exps = max(work, key=key)
-        coeff = work.pop(exps)
+        coeff = work[exps]
         for (lt_exps, lt_c), g in lts:
             if _divides(lt_exps, exps):
-                factor = coeff / lt_c
-                shift = _exp_sub(exps, lt_exps)
-                for ge, gc in g.terms.items():
-                    e = tuple(a + b for a, b in zip(ge, shift))
-                    s = work.get(e, Fraction(0)) - factor * gc
-                    if e == exps:
-                        s += coeff  # the popped leading term itself
-                    if s:
-                        work[e] = s
-                    else:
-                        work.pop(e, None)
-                work.pop(exps, None)
+                # cancels the term at exps exactly, leaving only smaller ones
+                add_terms(work, g.terms, -coeff / lt_c, _exp_sub(exps, lt_exps))
                 break
         else:
             remainder[exps] = coeff
-    out = Polynomial.__new__(Polynomial)
-    out.variables = variables
-    out.terms = remainder
-    return out
+            del work[exps]
+    return Polynomial._of(variables, remainder)
 
 
 def _s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:

@@ -5,7 +5,10 @@ leading monomial under a fixed monomial order.  Pivot rows are kept as
 inserted, not scaled to leading coefficient 1.  Every inserted row carries a
 combination dict mapping original tags to rational coefficients, so a linear
 dependence comes back as an explicit kernel combination and a successful
-reduction to zero comes back as a membership witness.
+reduction to zero comes back as a membership witness.  Reduction works on a
+copy of the vector's term dict: each step subtracts a multiple of one pivot
+row with ``add_terms``, which cancels the leading term exactly, and the same
+call updates the tag combination.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .poly import MonomialOrder, Polynomial, StructuralError
+from .poly import MonomialOrder, Polynomial, StructuralError, add_terms
 
 
 class Echelon:
@@ -36,20 +39,18 @@ class Echelon:
         return len(self.rows)
 
     def _reduce(self, vec: Polynomial, combo: dict):
-        while not vec.is_zero():
-            lead = max(vec.terms, key=self._key)
+        work = dict(vec.terms)
+        while work:
+            lead = max(work, key=self._key)
             row = self.rows.get(lead)
             if row is None:
-                return vec, combo, lead
-            factor = vec.terms[lead] / row.terms[lead]
-            vec = vec - row * factor
-            for tag, c in self.combos[lead].items():
-                s = combo.get(tag, Fraction(0)) - factor * c
-                if s:
-                    combo[tag] = s
-                else:
-                    combo.pop(tag, None)
-        return vec, combo, None
+                break
+            factor = -work[lead] / row.terms[lead]
+            add_terms(work, row.terms, factor)  # cancels the term at lead
+            add_terms(combo, self.combos[lead], factor)
+        else:
+            lead = None
+        return Polynomial._of(self.variables, work), combo, lead
 
     def insert(self, vec: Polynomial, tag) -> Optional[dict]:
         """Add a row; return a kernel combination if it was dependent.

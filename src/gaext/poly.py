@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 from typing import Iterable, Mapping
 
 
@@ -89,6 +90,35 @@ def default_order(variables: tuple) -> MonomialOrder:
     return MonomialOrder("deglex", variables)
 
 
+def add_terms(out: dict, terms: Mapping, c=1, shift: Exponents | None = None) -> dict:
+    """out += c * x^shift * terms in place, dropping the terms that cancel.
+
+    This is the one place where sparse terms combine.  Coefficients meet
+    only through + and *, so integer terms stay ``int``; c = 1 multiplies
+    nothing, a new key stores its product as is, and no zero is stored.
+    Keys need not be exponent tuples when no shift is given.
+    """
+    if not c:
+        return out
+    scale = c != 1
+    get = out.get
+    for e, k in terms.items():
+        if shift is not None:
+            e = tuple(map(add, e, shift))
+        if scale:
+            k = c * k
+        old = get(e)
+        if old is None:
+            out[e] = k
+        else:
+            s = old + k
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+    return out
+
+
 class Polynomial:
     """Immutable sparse polynomial over a fixed variable tuple."""
 
@@ -109,6 +139,15 @@ class Polynomial:
         self.terms = {e: c for e, c in clean.items() if c != 0}
 
     # -- constructors -------------------------------------------------
+
+    @classmethod
+    def _of(cls, variables: tuple, terms: dict) -> "Polynomial":
+        """Trusted constructor: terms already map exponent tuples of the right
+        length to nonzero Fractions, and the polynomial takes the dict over."""
+        out = cls.__new__(cls)
+        out.variables = variables
+        out.terms = terms
+        return out
 
     @classmethod
     def zero(cls, variables) -> "Polynomial":
@@ -188,25 +227,12 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(other, self.variables)
         self._check_compatible(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, Fraction(0)) + c
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
-        out = Polynomial.__new__(Polynomial)
-        out.variables = self.variables
-        out.terms = terms
-        return out
+        return Polynomial._of(self.variables, add_terms(dict(self.terms), other.terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Polynomial.__new__(Polynomial)
-        out.variables = self.variables
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return Polynomial._of(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -218,37 +244,19 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if c == 0:
-                return Polynomial.zero(self.variables)
-            out = Polynomial.__new__(Polynomial)
-            out.variables = self.variables
-            out.terms = {e: k * c for e, k in self.terms.items()}
-            return out
+            return Polynomial._of(self.variables,
+                                  add_terms({}, self.terms, Fraction(other)))
         self._check_compatible(other)
         terms: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    terms[e] = s
-                else:
-                    terms.pop(e, None)
-        out = Polynomial.__new__(Polynomial)
-        out.variables = self.variables
-        out.terms = terms
-        return out
+        for e, c in self.terms.items():
+            add_terms(terms, other.terms, c, e)
+        return Polynomial._of(self.variables, terms)
 
     __rmul__ = __mul__
 
     def times_monomial(self, exps: Exponents) -> "Polynomial":
         """self times the monic monomial with exponent vector exps."""
-        out = Polynomial.__new__(Polynomial)
-        out.variables = self.variables
-        out.terms = {tuple(a + b for a, b in zip(e, exps)): c
-                     for e, c in self.terms.items()}
-        return out
+        return Polynomial._of(self.variables, add_terms({}, self.terms, 1, exps))
 
     def __truediv__(self, c):
         return self * (Fraction(1) / Fraction(c))
@@ -306,7 +314,6 @@ class Polynomial:
                     raise StructuralError("substitution images live in different rings")
         else:
             target = self.variables
-        result = Polynomial.zero(target)
         power_cache: dict = {}
 
         def power(name, k):
@@ -315,13 +322,17 @@ class Polynomial:
                 power_cache[key] = images[name] ** k
             return power_cache[key]
 
+        terms: dict = {}
         for e, c in self.terms.items():
-            term = Polynomial.constant(c, target)
+            product = None
             for v, k in zip(self.variables, e):
                 if k:
-                    term = term * power(v, k)
-            result = result + term
-        return result
+                    product = power(v, k) if product is None else product * power(v, k)
+            if product is None:
+                add_terms(terms, {(0,) * len(target): c})
+            else:
+                add_terms(terms, product.terms, c)
+        return Polynomial._of(target, terms)
 
     def rename(self, variables) -> "Polynomial":
         """Reinterpret over a new variable tuple of the same length."""

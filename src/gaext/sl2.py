@@ -124,13 +124,9 @@ def family1_psi(n: int) -> dict:
     return {name: images[name] for name in variables}
 
 
-def family1_generator_ring(n: int) -> PresentedRing:
-    return PresentedRing(family1_variables(n))
-
-
 def family1_derivation(n: int) -> Derivation:
     """The stated derivation on the coordinate generators of the chart variety."""
-    ring = family1_generator_ring(n)
+    ring = PresentedRing(family1_variables(n))
     x0, x1 = ring.var("X0"), ring.var("X1")
     images = {"Z": x1 ** (n + 2)}
     for i in range(n + 2):
@@ -164,7 +160,8 @@ def verify_family1(n: int, nu_max: int, truncations=None) -> Report:
                    "" if image.is_zero() else f"psi({g}) = {image}")
 
     d_gen = family1_derivation(n)
-    for name in family1_variables(n):
+    gen_vars = family1_variables(n)
+    for name in gen_vars:
         lhs = derivation(psi[name])
         rhs = ring.normal_form(d_gen.images[name].substitute(psi))
         ok = (lhs - rhs).is_zero()
@@ -183,8 +180,7 @@ def verify_family1(n: int, nu_max: int, truncations=None) -> Report:
         verdict = equal or Undecided("LowerBound", sequence.truncations[nu].as_params())
         report.add("degree-one-generation", verdict, (("n", n), ("nu", nu)), witness)
 
-    fixed = fixed_locus_ideal(family1_derivation(n))
-    gen_vars = family1_variables(n)
+    fixed = fixed_locus_ideal(d_gen)
     k = n + 2
     expected_fixed = Ideal(
         [Polynomial(gen_vars, {(k - i, i) + (0,) * (len(gen_vars) - 2): Fraction(1)})
@@ -213,8 +209,7 @@ def family2_grading(p: int, q: int) -> Grading:
 
 def family2_bezout(p: int, q: int) -> tuple:
     """Minimal nonnegative m with m*q - n*p = 1."""
-    weights = family2_weights(p, q)  # validates coprimality
-    del weights
+    family2_weights(p, q)  # validates coprimality
     m = next(m for m in range(p + 1)
              if m * q >= 1 and (m * q - 1) % p == 0)
     return m, (m * q - 1) // p
@@ -241,10 +236,7 @@ def family2_nonnegative_generators(p: int, q: int, degree: int) -> dict:
                     exps = (a, b, c, d)
                     label = "*".join(name if e == 1 else f"{name}^{e}"
                                      for name, e in zip(SL2_VARS, exps) if e)
-                    monomial = Polynomial.__new__(Polynomial)
-                    monomial.variables = SL2_VARS
-                    monomial.terms = {exps: Fraction(1)}
-                    out[label or "1"] = monomial
+                    out[label or "1"] = Polynomial._of(SL2_VARS, {exps: Fraction(1)})
     return out
 
 

@@ -5,7 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
-from time import perf_counter
+from time import perf_counter, process_time
 
 import pytest
 
@@ -95,6 +95,24 @@ def test_trunc_scale_env(capsys, monkeypatch):
     monkeypatch.setenv("LND_TRUNC_SCALE", "-1")
     code, _, _ = run(capsys, "verify", "family1", "--n", "1", "--nu-max", "1")
     assert code == EXIT_USAGE
+
+
+def test_scaled_family2_spans_stay_one_generator_long(capsys, monkeypatch):
+    # a scale of 2 doubles family two's word bound to 2; its generators span
+    # the truncated algebra already, so the words stay one generator long
+    monkeypatch.setenv("LND_TRUNC_SCALE", "2")
+    start = process_time()
+    code, out, _ = run(capsys, "verify", "family2", "--p", "1", "--q", "1", "--nu-max", "1")
+    assert process_time() - start < 2  # tens of seconds with two-generator words
+    assert code == EXIT_PASS
+    assert out.splitlines() == [
+        "suite\tfamily2\tp=1,q=1,nu_max=1\toverall=pass",
+        "derivation-homogeneous\tpass\tp=1,q=1\tweight shift 2",
+        "base-identity\tpass\tp=1,q=1\t",
+        "bezout\tpass\tp=1,q=1\tm=1,n=0",
+        "graded-ideal\tpass\tp=1,q=1,nu=1,L=2,d=16\tm_1 vs weighted(1,1,1)",
+        "positive-weight-stable\tpass\tp=1,q=1\t",
+    ]
 
 
 def test_explicit_truncation_flags(capsys):

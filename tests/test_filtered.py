@@ -13,6 +13,7 @@ from gaext.filtered import (FilteredSubalgebra, IdealSequence, TruncationParams,
                             subalgebra_contains, truncated_span,
                             truncated_spans, verify_sequence_axioms)
 from gaext.groebner import Ideal, InputError, PresentedRing
+from gaext.linalg import Echelon
 from gaext.poly import Polynomial, parse
 from gaext.report import PASS, Member, Undecided
 from gaext.sl2 import (base_power_ideal, family1_derivation, family1_subalgebra,
@@ -368,3 +369,29 @@ def test_derivation_table_belongs_to_one_subalgebra():
     first.apply_derivation(first.generators["x^2*u"])
     assert first._d_rows and not second._d_rows
     assert not hasattr(first.derivation, "_d_rows")
+
+
+@pytest.mark.parametrize("p, q", [(1, 1), (2, 1)])
+def test_family2_spans_ignore_word_lengths_past_one(p, q):
+    """Family two's generators span its truncated algebra linearly, so a word
+    bound of 2 gives the span of word bound 1, element for element."""
+    degree = 6
+    sub = family2_subalgebra(p, q, degree)
+    short, longer = truncated_spans(sub, [T(1, degree), T(2, degree)])
+    assert [(e.label, e.poly) for e in longer] == [(e.label, e.poly) for e in short]
+
+
+def test_family2_generators_span_their_products():
+    """The declaration behind the word cap: without it, words of two
+    generators and base-monomial multiples add no rank."""
+    degree = 6
+    declared = family2_subalgebra(2, 1, degree)
+    plain = FilteredSubalgebra(declared.ambient, declared.derivation, ("x", "y"),
+                               declared.generators)
+    ranks = []
+    for sub, length in ((declared, 1), (plain, 2)):
+        echelon = Echelon(sub.ambient.variables, sub.ambient.order)
+        for el in truncated_span(sub, T(length, degree)):
+            echelon.insert(el.poly, el.label)
+        ranks.append(len(echelon))
+    assert ranks[0] == ranks[1] > 0

@@ -1,12 +1,19 @@
-"""Polynomial arithmetic, monomial orders, parsing, bidegrees."""
+"""Polynomial arithmetic, the sparse-term kernel, monomial orders, parsing,
+bidegrees."""
 
+import ast
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
+import gaext
+from gaext.groebner import reduce_poly
+from gaext.linalg import Echelon
 from gaext.poly import (BIDEG_BOTTOM, MonomialOrder, Polynomial,
-                        StructuralError, bidegree, default_order, parse, ring)
+                        StructuralError, add_terms, bidegree, default_order,
+                        parse, ring)
 
 XY = ("x", "y")
 XYUV = ("x", "y", "u", "v")
@@ -113,3 +120,93 @@ def test_bidegree():
     assert bidegree(Polynomial.zero(tvu)) == BIDEG_BOTTOM
     assert BIDEG_BOTTOM < (0, 0)
     assert bidegree(parse("t^4", tvu)) == (0, 0)
+
+
+def _naive_add_terms(out, terms, c, shift):
+    """out + c * x^shift * terms, summed termwise, zeros dropped at the end."""
+    result = dict(out)
+    for e, k in terms.items():
+        if shift is not None:
+            e = tuple(a + b for a, b in zip(e, shift))
+        result[e] = result.get(e, 0) + c * k
+    return {e: k for e, k in result.items() if k != 0}
+
+
+def _random_terms(rng, coefficient, count):
+    return {tuple(rng.randint(0, 2) for _ in range(3)): coefficient(rng)
+            for _ in range(rng.randint(0, count))}
+
+
+def _nonzero_int(rng):
+    return rng.choice((-1, 1)) * rng.randint(1, 3)
+
+
+def _nonzero_fraction(rng):
+    return Fraction(_nonzero_int(rng), rng.randint(1, 3))
+
+
+@pytest.mark.parametrize("coefficient", [_nonzero_int, _nonzero_fraction])
+def test_add_terms_matches_naive_sum(coefficient):
+    rng = random.Random(4021)
+    for _ in range(300):
+        out = _random_terms(rng, coefficient, 6)
+        terms = _random_terms(rng, coefficient, 6)
+        c = rng.choice((0, 1, -1, coefficient(rng)))
+        shift = rng.choice((None, (0, 0, 0), (1, 0, 2)))
+        expected = _naive_add_terms(out, terms, c, shift)
+        before = dict(out)
+        assert add_terms(out, terms, c, shift) is out  # updated in place
+        assert out == expected
+        assert all(k != 0 for k in out.values())
+        if coefficient is _nonzero_int and type(c) is int:
+            assert all(type(k) is int for k in out.values())
+        if c == 0:
+            assert out == before
+
+
+def test_add_terms_cancels_to_empty_and_keeps_new_coefficients():
+    terms = {(1, 0): Fraction(2, 3), (0, 1): Fraction(-5), (0, 0): Fraction(1)}
+    out = dict(terms)
+    assert add_terms(out, terms, -1) == {}
+    out = add_terms({}, terms)
+    # c = 1 multiplies nothing: a new key stores the very coefficient object
+    assert all(out[e] is k for e, k in terms.items())
+    shifted = add_terms({}, {("a",): 3, ("b",): 4}, 1)
+    assert shifted == {("a",): 3, ("b",): 4}  # any keys without a shift
+    assert add_terms({(1, 1): 1}, {(0, 0): 1}, -1, (1, 1)) == {}
+
+
+def test_arithmetic_results_hold_only_nonzero_fractions():
+    x, y = ring("x y")
+    a, b = ring("a b")
+    f = x * y + 1 - y ** 2 * Fraction(3, 2)
+    g = x - 1
+    echelon = Echelon(XY, default_order(XY))
+    for tag, row in enumerate((x * y - y, y ** 2 + x, x + 1)):
+        echelon.insert(row, tag)
+    residual, combo = echelon.reduce(f * g + 7)
+    assert all(type(c) is Fraction and c != 0 for c in combo.values())
+    results = [f + g, f - g, f - f, -f, f * g, f * 3, g * g, (f + 1) * (g - x),
+               f.times_monomial((1, 2)), f ** 2,
+               # constant terms with coefficient 1 keep their Fraction
+               (x + 1).substitute({"x": a * b, "y": a}),
+               Polynomial.one(XY).substitute({"x": a, "y": b}),
+               f.substitute({"x": a - 1, "y": b + 1}),
+               reduce_poly(f * g + x, [x * y - 1, y ** 2], default_order(XY)),
+               residual]
+    for h in results:
+        assert all(type(c) is Fraction and c != 0 for c in h.terms.values()), h
+
+
+def test_only_poly_builds_unvalidated_polynomials():
+    """Polynomial.__new__ appears in poly.py alone; every other module builds
+    through the validating constructor or the trusted Polynomial._of."""
+    offenders = []
+    for path in sorted(pathlib.Path(gaext.__file__).parent.glob("*.py")):
+        if path.name == "poly.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Attribute) and node.attr == "__new__"
+                    and isinstance(node.value, ast.Name) and node.value.id == "Polynomial"):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
