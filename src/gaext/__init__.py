@@ -1,7 +1,6 @@
 """Exact symbolic verification of additive-group bundle extensions."""
 
-from .derivation import (NOT_HOMOGENEOUS, Derivation, Grading,
-                         homogeneity_degree)
+from .derivation import Derivation, Grading, homogeneity_degree
 from .filtered import (FilteredSubalgebra, IdealSequence, TruncationParams,
                        compute_m_nu, generated_in_degree_one,
                        subalgebra_contains, truncated_span, truncated_spans,
@@ -15,7 +14,7 @@ from .report import Check, Member, NotMember, Report, Undecided
 __all__ = [
     "BIDEG_BOTTOM", "Check", "Derivation", "FilteredSubalgebra", "Grading",
     "Ideal", "IdealSequence", "InputError", "Member", "MonomialOrder",
-    "NOT_HOMOGENEOUS", "NotMember", "Polynomial", "PresentedRing", "Report",
+    "NotMember", "Polynomial", "PresentedRing", "Report",
     "StructuralError", "TruncationParams", "Undecided", "bidegree", "buchberger",
     "compute_m_nu", "default_order", "generated_in_degree_one",
     "homogeneity_degree", "is_primary_at_origin", "parse", "ring",

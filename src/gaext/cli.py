@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from functools import lru_cache
 
 from .filtered import TruncationParams
@@ -37,39 +38,34 @@ def _trunc_scale() -> float:
     return value
 
 
-def _truncations(args, default_fn, nu_max: int) -> list:
-    """Truncations of levels 0..nu_max from flags, the env scale, or suite defaults."""
-    scale = _trunc_scale()
-    out = []
-    for nu in range(nu_max + 1):
-        base = default_fn(nu)
-        if args.trunc_len is None and args.trunc_deg is None:
-            out.append(base.scaled(scale))
-        else:
-            out.append(TruncationParams(
-                base.word_length if args.trunc_len is None else args.trunc_len,
-                base.degree if args.trunc_deg is None else args.trunc_deg))
-    return out
+def _bounds(args):
+    """The bounds every suite applies to its own default truncations.
+
+    A flag replaces its field and the other keeps its default; with
+    neither flag, LND_TRUNC_SCALE scales both.
+    """
+    flags = {field: value for field, value in (("word_length", args.trunc_len),
+                                               ("degree", args.trunc_deg))
+             if value is not None}
+
+    def bounds(truncation: TruncationParams) -> TruncationParams:
+        scale = _trunc_scale()  # a bad scale is an error even under flags
+        return replace(truncation, **flags) if flags else truncation.scaled(scale)
+    return bounds
 
 
 def run_suite(args) -> Report:
     from . import sl2
     from .blowup import verify_section7_cases
-    from .filtered import IdealSequence, verify_sequence_axioms
 
     name = args.suite
+    bounds = _bounds(args)
     if name == "family1":
         if args.n < 1:
             raise UsageError("family1 needs --n >= 1 (n = 0 is family2 with p = q = 1)")
-        trunc = _truncations(args, lambda nu: sl2.family1_truncation(args.n, nu),
-                             args.nu_max)
-        return sl2.verify_family1(args.n, args.nu_max, trunc)
+        return sl2.verify_family1(args.n, args.nu_max, bounds)
     if name == "family2":
-        # family2's positive-weight probe reads level 1 even when nu_max is 0
-        trunc = _truncations(
-            args, lambda nu: sl2.family2_truncation(args.p, args.q, nu),
-            max(args.nu_max, 1))
-        return sl2.verify_family2(args.p, args.q, args.nu_max, trunc)
+        return sl2.verify_family2(args.p, args.q, args.nu_max, bounds)
     if name == "smoothext":
         return verify_smoothext()
     if name == "section7":
@@ -79,23 +75,9 @@ def run_suite(args) -> Report:
             raise UsageError("gluing needs --n >= 1")
         return sl2.gluing_checks(args.n)
     if name == "sequence-axioms":
-        report = Report("sequence-axioms", (("nu_max", args.nu_max),))
-        report.extend(verify_sequence_axioms(sl2.sl2_sequence(args.nu_max)))
-        if args.n >= 1:
-            # every family-one level at the top level's bounds
-            top = _truncations(
-                args, lambda nu: sl2.family1_truncation(args.n, nu), args.nu_max)[-1]
-            fam = IdealSequence.compute(sl2.family1_subalgebra(args.n),
-                                        [top] * (args.nu_max + 1))
-            report.extend(verify_sequence_axioms(fam))
-        return report
+        return sl2.sequence_axioms_checks(args.n, args.nu_max, bounds)
     if name == "cross-family":
-        trunc = _truncations(
-            args, lambda nu: sl2.family2_truncation(1, 1, nu), args.nu_max)
-        # the dominance probe is a level-1 search over P(2,1)
-        probe = _truncations(
-            args, lambda nu: sl2.family2_truncation(2, 1, nu), 1)[1]
-        return sl2.verify_cross_family(args.nu_max, trunc, probe)
+        return sl2.verify_cross_family(args.nu_max, bounds)
     raise UsageError(f"unknown suite {name!r}")
 
 

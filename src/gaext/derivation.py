@@ -11,23 +11,6 @@ from .poly import Polynomial, StructuralError, add_terms
 from .report import Undecided
 
 
-class NotHomogeneous:
-    """Sentinel for an element mixing several weights under a grading."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "NOT_HOMOGENEOUS"
-
-
-NOT_HOMOGENEOUS = NotHomogeneous()
-
-
 class Derivation:
     """A derivation of a presented ring, given by its images on the variables.
 
@@ -132,19 +115,20 @@ class Grading:
             raise StructuralError(f"no weight for variables: {sorted(missing)}")
         self.weights = {n: int(weights[n]) for n in ring.variables}
         for rel in ring.relations:
-            if self.weight_of(rel) is NOT_HOMOGENEOUS:
+            rel_weights = self.weight_range(rel)
+            if rel_weights and rel_weights[0] != rel_weights[1]:
                 raise InputError(f"relation {rel} is not weight-homogeneous")
 
     def monomial_weight(self, exps) -> int:
         return sum(e * self.weights[n]
                    for e, n in zip(exps, self.ring.variables))
 
-    def weight_of(self, f: Polynomial):
-        """Common weight of f's monomials, NOT_HOMOGENEOUS if mixed, None if 0."""
+    def weight_range(self, f: Polynomial):
+        """(least, greatest) weight of f's monomials, or None for 0."""
         if f.is_zero():
             return None
-        ws = {self.monomial_weight(e) for e in f.terms}
-        return ws.pop() if len(ws) == 1 else NOT_HOMOGENEOUS
+        weights = [self.monomial_weight(e) for e in f.terms]
+        return min(weights), max(weights)
 
 
 def homogeneity_degree(derivation: Derivation, grading: Grading):
@@ -152,16 +136,12 @@ def homogeneity_degree(derivation: Derivation, grading: Grading):
 
     Compares weight(D(v)) - weight(v) across variables; variables killed by
     the derivation put no constraint on the shift.  Returns the shift, or
-    NOT_HOMOGENEOUS when images disagree or are themselves inhomogeneous.
+    None when images disagree or are themselves inhomogeneous.
     """
     shifts = set()
     for name, img in derivation.images.items():
-        if img.is_zero():
-            continue
-        w = grading.weight_of(img)
-        if w is NOT_HOMOGENEOUS:
-            return NOT_HOMOGENEOUS
-        shifts.add(w - grading.weights[name])
-    if not shifts:
-        return 0
-    return shifts.pop() if len(shifts) == 1 else NOT_HOMOGENEOUS
+        if not img.is_zero():
+            shifts.update(w - grading.weights[name] for w in grading.weight_range(img))
+    if len(shifts) > 1:
+        return None
+    return shifts.pop() if shifts else 0

@@ -24,7 +24,7 @@ from typing import Sequence
 from .derivation import Derivation
 from .groebner import Ideal, InputError, PresentedRing
 from .linalg import Echelon
-from .poly import Polynomial, StructuralError, add_terms
+from .poly import Polynomial, StructuralError, add_terms, monomial_label
 from .report import Member, Report, Undecided
 
 
@@ -136,18 +136,14 @@ class FilteredSubalgebra:
             # the generator list already holds every base-monomial multiple
             yield ("1", None, 0)
             return
-        idx = [self.ambient.variables.index(v) for v in self.base_vars]
-        n = len(self.ambient.variables)
+        variables = self.ambient.variables
+        idx = [variables.index(v) for v in self.base_vars]
         for total in range(degree + 1):
             for combo in itertools.combinations_with_replacement(idx, total):
-                exps = [0] * n
+                exps = [0] * len(variables)
                 for i in combo:
                     exps[i] += 1
-                label = "*".join(
-                    f"{self.ambient.variables[i]}^{exps[i]}" if exps[i] > 1
-                    else self.ambient.variables[i]
-                    for i in sorted(set(combo)))
-                yield (label or "1", tuple(exps), total)
+                yield (monomial_label(variables, exps), tuple(exps), total)
 
     def _words(self, length: int, degree: int) -> list:
         """(label, product, length, peak) for nonzero generator words.
@@ -178,8 +174,8 @@ class FilteredSubalgebra:
                             longer.append((combo + (j,), prod, max(peak, deg)))
                 layer = longer
             for combo, poly, peak in layer:
-                label = "*".join(f"{labels[i]}^{combo.count(i)}" if combo.count(i) > 1
-                                 else labels[i] for i in sorted(set(combo)))
+                used = sorted(set(combo))
+                label = monomial_label(map(labels.__getitem__, used), map(combo.count, used))
                 out.append((label, poly, ell, peak))
         return out
 

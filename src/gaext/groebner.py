@@ -317,9 +317,6 @@ class PresentedRing:
             return f  # no term is divisible by a basis leading term
         return ideal.normal_form(f)
 
-    def is_zero_element(self, f: Polynomial) -> bool:
-        return self.normal_form(f).is_zero()
-
     def parse(self, text: str) -> Polynomial:
         from .poly import parse
         return self.normal_form(parse(text, self.variables))

@@ -119,6 +119,13 @@ def add_terms(out: dict, terms: Mapping, c=1, shift: Exponents | None = None) ->
     return out
 
 
+def monomial_label(names, exponents) -> str:
+    """The monic monomial as text: x^2*y for names (x, y) and exponents
+    (2, 1), skipping zero exponents, and "1" when every exponent is zero."""
+    return "*".join(name if e == 1 else f"{name}^{e}"
+                    for name, e in zip(names, exponents) if e) or "1"
+
+
 class Polynomial:
     """Immutable sparse polynomial over a fixed variable tuple."""
 
@@ -334,13 +341,6 @@ class Polynomial:
                 add_terms(terms, product.terms, c)
         return Polynomial._of(target, terms)
 
-    def rename(self, variables) -> "Polynomial":
-        """Reinterpret over a new variable tuple of the same length."""
-        variables = tuple(variables)
-        if len(variables) != len(self.variables):
-            raise StructuralError("rename requires equally many variables")
-        return Polynomial(variables, self.terms)
-
     def extend(self, variables) -> "Polynomial":
         """View in a larger ring whose variables include all of ours."""
         variables = tuple(variables)
@@ -378,15 +378,14 @@ class Polynomial:
             return "0"
         parts = []
         for exps, c in self.sorted_terms(order):
-            factors = [f"{v}^{e}" if e > 1 else v
-                       for v, e in zip(self.variables, exps) if e]
+            monomial = monomial_label(self.variables, exps)
             mag = abs(c)
-            if not factors:
+            if monomial == "1":
                 body = str(mag)
             elif mag == 1:
-                body = "*".join(factors)
+                body = monomial
             else:
-                body = "*".join([str(mag)] + factors)
+                body = f"{mag}*{monomial}"
             sign = "-" if c < 0 else "+"
             parts.append((sign, body))
         first_sign, first_body = parts[0]

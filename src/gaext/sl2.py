@@ -16,12 +16,18 @@ from math import gcd
 from .blowup import fixed_locus_ideal
 from .derivation import Derivation, Grading, homogeneity_degree
 from .filtered import (FilteredSubalgebra, IdealSequence, TruncationParams,
-                       compute_m_nu, generated_in_degree_one, subalgebra_contains)
+                       compute_m_nu, generated_in_degree_one, subalgebra_contains,
+                       verify_sequence_axioms)
 from .groebner import Ideal, InputError, PresentedRing, weighted_monomial_ideal
-from .poly import Polynomial
+from .poly import Polynomial, monomial_label
 from .report import PASS, Report, Undecided
 
 SL2_VARS = ("x", "y", "u", "v")
+
+
+def as_is(truncation: TruncationParams) -> TruncationParams:
+    """The default ``bounds`` of every suite: its own truncations, unchanged."""
+    return truncation
 
 
 @lru_cache(maxsize=None)
@@ -146,8 +152,9 @@ def family1_truncation(n: int, nu: int) -> TruncationParams:
     return TruncationParams(nu, (n + 2) * nu + 4)
 
 
-def verify_family1(n: int, nu_max: int, truncations=None) -> Report:
-    """Checks (a)-(e) for one family-one member."""
+def verify_family1(n: int, nu_max: int, bounds=as_is) -> Report:
+    """Checks (a)-(e) for one family-one member, level nu at
+    ``bounds(family1_truncation(n, nu))``."""
     report = Report("family1", (("n", n), ("nu_max", nu_max)))
     ring = sl2_ring()
     derivation = sl2_derivation()
@@ -170,7 +177,7 @@ def verify_family1(n: int, nu_max: int, truncations=None) -> Report:
 
     sequence = IdealSequence.compute(
         family1_subalgebra(n),
-        truncations or [family1_truncation(n, nu) for nu in range(nu_max + 1)])
+        [bounds(family1_truncation(n, nu)) for nu in range(nu_max + 1)])
     for nu in range(1, nu_max + 1):
         _add_graded_check(report, "graded-ideal", sequence[nu],
                           base_power_ideal((n + 2) * nu), (("n", n), ("nu", nu)),
@@ -234,9 +241,8 @@ def family2_nonnegative_generators(p: int, q: int, degree: int) -> dict:
                     if p * (a - d) + q * (b - c) < 0:
                         continue
                     exps = (a, b, c, d)
-                    label = "*".join(name if e == 1 else f"{name}^{e}"
-                                     for name, e in zip(SL2_VARS, exps) if e)
-                    out[label or "1"] = Polynomial._of(SL2_VARS, {exps: Fraction(1)})
+                    out[monomial_label(SL2_VARS, exps)] = Polynomial._of(
+                        SL2_VARS, {exps: Fraction(1)})
     return out
 
 
@@ -251,20 +257,22 @@ def family2_truncation(p: int, q: int, nu: int) -> TruncationParams:
     return TruncationParams(1, 2 * (p + q) * nu + 4)
 
 
-def family2_sequence(p: int, q: int, nu_max: int, truncations=None) -> IdealSequence:
-    """Levels 0..nu_max over one subalgebra built at the largest level degree.
+def family2_sequence(p: int, q: int, nu_max: int, bounds=as_is) -> IdealSequence:
+    """Levels 0..nu_max, level nu at ``bounds(family2_truncation(p, q, nu))``,
+    over one subalgebra built at the largest level degree.
 
     Its generators of degree at most d are exactly those of the subalgebra
     built at d, so each level's span is unchanged.
     """
-    truncations = (truncations or [family2_truncation(p, q, nu)
-                                   for nu in range(nu_max + 1)])[:nu_max + 1]
+    truncations = [bounds(family2_truncation(p, q, nu)) for nu in range(nu_max + 1)]
     sub = family2_subalgebra(p, q, max(t.degree for t in truncations))
     return IdealSequence.compute(sub, truncations)
 
 
-def verify_family2(p: int, q: int, nu_max: int, truncations=None) -> Report:
-    """Checks (a)-(e) for one family-two member."""
+def verify_family2(p: int, q: int, nu_max: int, bounds=as_is) -> Report:
+    """Checks (a)-(e) for one family-two member, level nu at
+    ``bounds(family2_truncation(p, q, nu))``; the positive-weight probe
+    reads level 1's bounds whatever nu_max is."""
     report = Report("family2", (("p", p), ("q", q), ("nu_max", nu_max)))
     ring = sl2_ring()
     derivation = sl2_derivation()
@@ -286,10 +294,7 @@ def verify_family2(p: int, q: int, nu_max: int, truncations=None) -> Report:
     report.add("bezout", m * q - n * p == 1 and m >= 0,
                (("p", p), ("q", q)), f"m={m},n={n}")
 
-    # the probe below reads level 1's bounds even when nu_max is 0
-    truncations = truncations or [family2_truncation(p, q, nu)
-                                  for nu in range(max(nu_max, 1) + 1)]
-    sequence = family2_sequence(p, q, nu_max, truncations)
+    sequence = family2_sequence(p, q, nu_max, bounds)
     reached = [True]  # reached[nu]: the graded-ideal line of level nu passed
     for nu in range(1, nu_max + 1):
         reached.append(_add_graded_check(
@@ -312,17 +317,16 @@ def verify_family2(p: int, q: int, nu_max: int, truncations=None) -> Report:
                    else Undecided("LowerBound", sequence.truncations[2].as_params()))
         report.add("degree-one-fails", differs, (("p", p), ("q", q)), "m_2 != m_1^2")
 
-    gens = family2_nonnegative_generators(
-        p, q, min(truncations[1].degree, p + q + 2))
+    probe = bounds(family2_truncation(p, q, 1))
+    gens = family2_nonnegative_generators(p, q, min(probe.degree, p + q + 2))
     bad = ""
     for label, g in sorted(gens.items()):
-        if grading.weight_of(g) <= 0:
+        if grading.weight_range(g)[0] <= 0:
             continue
         image = sequence.subalgebra.apply_derivation(g)
         if image.is_zero():
             continue
-        weights = [grading.monomial_weight(e) for e in image.terms]
-        if min(weights) <= 0:
+        if grading.weight_range(image)[0] <= 0:
             bad = f"D({label}) has a nonpositive-weight term"
             break
     report.add("positive-weight-stable", not bad, (("p", p), ("q", q)), bad)
@@ -422,23 +426,24 @@ def gluing_checks(n: int) -> Report:
 # cross-family comparisons
 
 
-def verify_cross_family(nu_max: int = 3, truncations=None, probe=None) -> Report:
+def verify_cross_family(nu_max: int = 3, bounds=as_is) -> Report:
     """P(1,1) graded ideals against the n = 0 pattern, plus the dominance
     instance: the first family member sitting inside O(P(2,1)).
 
-    ``probe`` bounds the P(2,1) level-1 search (default: family two's
-    level-1 truncation).  A computed m_1 is only a lower bound, so a
-    dominating level other than 1, or a generator missed within the probe,
-    is indeterminate rather than a failure.
+    Level nu of P(1,1) is cut at ``bounds(family2_truncation(1, 1, nu))``
+    and the P(2,1) level-1 search at ``bounds(family2_truncation(2, 1, 1))``.
+    A computed m_1 is only a lower bound, so a dominating level other than
+    1, or a generator missed within the search, is indeterminate rather
+    than a failure.
     """
     report = Report("cross-family", (("nu_max", nu_max),))
-    sequence = family2_sequence(1, 1, nu_max, truncations)
+    sequence = family2_sequence(1, 1, nu_max, bounds)
     for nu in range(1, nu_max + 1):
         _add_graded_check(report, "p0-graded-ideal", sequence[nu],
                           base_power_ideal(2 * nu), (("nu", nu),),
                           sequence.truncations[nu], f"m_{nu}(P(1,1)) vs <x,y>^{2 * nu}")
 
-    probe = probe or family2_truncation(2, 1, 1)
+    probe = bounds(family2_truncation(2, 1, 1))
     sub = family2_subalgebra(2, 1, probe.degree)
     m1 = compute_m_nu(sub, 1, probe)
     found = None
@@ -453,4 +458,20 @@ def verify_cross_family(nu_max: int = 3, truncations=None, probe=None) -> Report
         for name, image in sorted(family1_psi(found).items()):
             report.add("generator-membership", subalgebra_contains(sub, image, probe),
                        (("gen", name),) + probe.as_params())
+    return report
+
+
+# ---------------------------------------------------------------------------
+# sequence axioms
+
+
+def sequence_axioms_checks(n: int, nu_max: int, bounds=as_is) -> Report:
+    """The sequence axioms of O(SL2) at its fixed bounds and, for n >= 1,
+    of family one with every level at ``bounds(family1_truncation(n, nu_max))``."""
+    report = Report("sequence-axioms", (("nu_max", nu_max),))
+    report.extend(verify_sequence_axioms(sl2_sequence(nu_max)))
+    if n >= 1:
+        top = bounds(family1_truncation(n, nu_max))
+        report.extend(verify_sequence_axioms(
+            IdealSequence.compute(family1_subalgebra(n), [top] * (nu_max + 1))))
     return report

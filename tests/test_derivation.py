@@ -5,8 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from gaext.derivation import (NOT_HOMOGENEOUS, Derivation, Grading,
-                              homogeneity_degree)
+from gaext.derivation import Derivation, Grading, homogeneity_degree
 from gaext.groebner import InputError, PresentedRing
 from gaext.poly import Polynomial, parse
 from gaext.report import Undecided
@@ -98,10 +97,24 @@ def test_graded_leading_term_multiplicative():
 def test_grading_and_homogeneity():
     ring, d = sl2()
     grading = Grading(ring, {"x": 2, "y": 1, "u": -1, "v": -2})
-    assert grading.weight_of(ring.parse("x*y")) == 3
-    assert grading.weight_of(ring.parse("x + y")) is NOT_HOMOGENEOUS
-    assert grading.weight_of(ring.zero()) is None
+    assert grading.weight_range(ring.parse("x*y")) == (3, 3)
+    assert grading.weight_range(ring.parse("x + y")) == (1, 2)
+    assert grading.weight_range(ring.zero()) is None
     assert homogeneity_degree(d, grading) == 3
+
+
+def test_homogeneity_degree_needs_one_common_shift():
+    ring = PresentedRing(("a", "b", "c"))
+    grading = Grading(ring, {"a": 1, "b": 1, "c": 1})
+    # D(a) = b shifts weight by 0, D(b) = c^2 by 1: homogeneous images that disagree
+    assert homogeneity_degree(Derivation(ring, {"a": ring.var("b"),
+                                                "b": ring.parse("c^2")}), grading) is None
+    # D(a) = b + c^2 is itself inhomogeneous
+    assert homogeneity_degree(Derivation(ring, {"a": ring.parse("b + c^2")}), grading) is None
+    # D(a) = b and D(b) = c agree on a shift of 0; c is killed and sets none
+    assert homogeneity_degree(Derivation(ring, {"a": ring.var("b"),
+                                                "b": ring.var("c")}), grading) == 0
+    assert homogeneity_degree(Derivation(ring, {}), grading) == 0
 
 
 def test_grading_rejects_inhomogeneous_relations():

@@ -1,0 +1,54 @@
+"""Reports under explicit truncation flags or LND_TRUNC_SCALE, byte for byte.
+
+Each expected file under tests/flagged/ was recorded from the code before
+the suites took their bounds as one function, so these pin how flags, the
+scale and each suite's default bounds combine.
+"""
+
+import pathlib
+
+import pytest
+
+from gaext.cli import EXIT_INDETERMINATE, EXIT_PASS, main
+
+FLAGGED = pathlib.Path(__file__).resolve().parent / "flagged"
+
+# name -> (LND_TRUNC_SCALE or None, argv, exit code)
+CASES = {
+    "cross-family-nu1-deg8": (
+        None, ("verify", "cross-family", "--nu-max", "1", "--trunc-deg", "8"), EXIT_PASS),
+    "cross-family-len0": (
+        None, ("verify", "cross-family", "--trunc-len", "0"), EXIT_INDETERMINATE),
+    "family2-p2q1-nu2-deg4": (
+        None, ("verify", "family2", "--p", "2", "--q", "1", "--nu-max", "2",
+               "--trunc-deg", "4"), EXIT_INDETERMINATE),
+    # the positive-weight probe reads level 1's bounds even at nu_max 0
+    "family2-p2q1-nu0-deg6": (
+        None, ("verify", "family2", "--p", "2", "--q", "1", "--nu-max", "0",
+               "--trunc-deg", "6"), EXIT_PASS),
+    "sequence-axioms-nu2-n1-deg6": (
+        None, ("verify", "sequence-axioms", "--nu-max", "2", "--n", "1",
+               "--trunc-deg", "6"), EXIT_PASS),
+    "family1-n1-nu1-scale1.5": (
+        "1.5", ("verify", "family1", "--n", "1", "--nu-max", "1"), EXIT_PASS),
+    # a flag replaces the scale: the level prints L=1,d=8
+    "family1-n1-nu1-scale2-deg8": (
+        "2", ("verify", "family1", "--n", "1", "--nu-max", "1", "--trunc-deg", "8"),
+        EXIT_PASS),
+}
+
+
+def test_every_flagged_file_has_a_case():
+    assert sorted(p.stem for p in FLAGGED.glob("*.txt")) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_flagged_report_matches(name, capsys, monkeypatch):
+    scale, argv, expected_code = CASES[name]
+    if scale is None:
+        monkeypatch.delenv("LND_TRUNC_SCALE", raising=False)
+    else:
+        monkeypatch.setenv("LND_TRUNC_SCALE", scale)
+    code = main(list(argv))
+    assert capsys.readouterr().out == (FLAGGED / f"{name}.txt").read_bytes().decode()
+    assert code == expected_code
