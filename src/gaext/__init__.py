@@ -7,16 +7,15 @@ from .filtered import (FilteredSubalgebra, IdealSequence, TruncationParams,
                        verify_sequence_axioms)
 from .groebner import (Ideal, InputError, PresentedRing, buchberger,
                        is_primary_at_origin, weighted_monomial_ideal)
-from .poly import (BIDEG_BOTTOM, MonomialOrder, Polynomial, StructuralError,
-                   bidegree, default_order, parse, ring)
+from .poly import BIDEG_BOTTOM, Polynomial, StructuralError, bidegree, parse, ring
 from .report import Check, Member, NotMember, Report, Undecided
 
 __all__ = [
     "BIDEG_BOTTOM", "Check", "Derivation", "FilteredSubalgebra", "Grading",
-    "Ideal", "IdealSequence", "InputError", "Member", "MonomialOrder",
+    "Ideal", "IdealSequence", "InputError", "Member",
     "NotMember", "Polynomial", "PresentedRing", "Report",
     "StructuralError", "TruncationParams", "Undecided", "bidegree", "buchberger",
-    "compute_m_nu", "default_order", "generated_in_degree_one",
+    "compute_m_nu", "generated_in_degree_one",
     "homogeneity_degree", "is_primary_at_origin", "parse", "ring",
     "subalgebra_contains", "truncated_span", "truncated_spans",
     "verify_sequence_axioms",

@@ -59,7 +59,7 @@ def blowup_chart(ring: PresentedRing, derivation: Derivation, f: Polynomial,
     centers = [ring.normal_form(g) for g in centers]
     if not (0 <= j < len(centers)):
         raise InputError("chart index outside the center list")
-    center_ideal = Ideal(centers, variables=ring.variables, order=ring.order)
+    center_ideal = Ideal(centers, variables=ring.variables)
     if f not in center_ideal:
         raise InputError("divisor must lie in the center ideal")
     if len(centers) == 1:
@@ -67,7 +67,7 @@ def blowup_chart(ring: PresentedRing, derivation: Derivation, f: Polynomial,
         return ChartBlowup(ring, f, centers, ring, derivation,
                            {v: ring.var(v) for v in ring.variables}, {})
     if ring.relations or not all(g.is_monomial() and g.total_degree() == 1
-                                 and g.leading_coefficient(ring.order) == 1
+                                 and g.leading_coefficient() == 1
                                  for g in centers):
         return _blowup_chart_general(ring, derivation, f, centers, j)
     return _blowup_chart_elimination(ring, derivation, f, centers, j,
@@ -169,7 +169,7 @@ def fixed_locus_ideal(derivation: Derivation, generators=None) -> Ideal:
     images = [g for g in images if not g.is_zero()]
     if not images:
         return Ideal.zero(ring.variables)
-    return Ideal(images, variables=ring.variables, order=ring.order)
+    return Ideal(images, variables=ring.variables)
 
 
 def initial_chart() -> ChartBlowup:
@@ -198,7 +198,7 @@ def verify_section7_cases() -> Report:
     xi, eta, zeta = chart.gens()
 
     def principal(g, ring):
-        return Ideal([g], variables=ring.variables, order=ring.order)
+        return Ideal([g], variables=ring.variables)
 
     # case 1: blow up the origin; three charts
     centers = [xi, eta, zeta]

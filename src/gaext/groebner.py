@@ -12,7 +12,7 @@ from functools import cached_property
 from math import gcd
 from typing import Iterable, Sequence
 
-from .poly import MonomialOrder, Polynomial, StructuralError, add_terms, default_order
+from .poly import Polynomial, StructuralError, add_terms, monomial_key
 from .report import Undecided
 
 
@@ -41,7 +41,7 @@ def _minimal_exponents(exps) -> list:
     return minimal
 
 
-def reduce_poly(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder,
+def reduce_poly(f: Polynomial, basis: Sequence[Polynomial],
                 leading: Sequence[tuple] | None = None) -> Polynomial:
     """Full multivariate division remainder of f by basis.
 
@@ -50,15 +50,13 @@ def reduce_poly(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder
     """
     if not basis:
         return f
-    variables = f.variables
-    key = order.key_function(variables)
     if leading is None:
-        leading = [g.leading_term(order) for g in basis]
+        leading = [g.leading_term() for g in basis]
     lts = list(zip(leading, basis))
     remainder: dict = {}
     work = dict(f.terms)
     while work:
-        exps = max(work, key=key)
+        exps = max(work, key=monomial_key)
         coeff = work[exps]
         for (lt_exps, lt_c), g in lts:
             if _divides(lt_exps, exps):
@@ -68,25 +66,24 @@ def reduce_poly(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder
         else:
             remainder[exps] = coeff
             del work[exps]
-    return Polynomial._of(variables, remainder)
+    return Polynomial._of(f.variables, remainder)
 
 
-def _s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
-    (ef, cf) = f.leading_term(order)
-    (eg, cg) = g.leading_term(order)
+def _s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
+    (ef, cf) = f.leading_term()
+    (eg, cg) = g.leading_term()
     l = _exp_lcm(ef, eg)
     mf = Polynomial(f.variables, {_exp_sub(l, ef): Fraction(1) / cf})
     mg = Polynomial(g.variables, {_exp_sub(l, eg): Fraction(1) / cg})
     return mf * f - mg * g
 
 
-def buchberger(gens: Sequence[Polynomial], order: MonomialOrder) -> list:
+def buchberger(gens: Sequence[Polynomial]) -> list:
     """Reduced Groebner basis of the ideal generated by gens."""
     basis = [g.monic() for g in gens if not g.is_zero()]
     if not basis:
         return []
-    variables = basis[0].variables
-    lts = [g.leading_term(order)[0] for g in basis]
+    lts = [g.leading_term()[0] for g in basis]
     pairs = {(i, j) for i in range(len(basis)) for j in range(i)}
 
     def criteria(i, j):
@@ -111,22 +108,22 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder) -> list:
         pairs.discard((i, j))
         if criteria(i, j):
             continue
-        s = reduce_poly(_s_polynomial(basis[i], basis[j], order), basis, order)
+        s = reduce_poly(_s_polynomial(basis[i], basis[j]), basis)
         if s.is_zero():
             continue
         s = s.monic()
         basis.append(s)
-        lts.append(s.leading_term(order)[0])
+        lts.append(s.leading_term()[0])
         k = len(basis) - 1
         pairs.update((k, m) for m in range(k))
 
-    return _reduce_basis(basis, order)
+    return _reduce_basis(basis)
 
 
-def _reduce_basis(basis, order) -> list:
+def _reduce_basis(basis) -> list:
     # drop members whose leading term another member's leading term divides
     minimal = []
-    lts = [g.leading_term(order)[0] for g in basis]
+    lts = [g.leading_term()[0] for g in basis]
     for i, g in enumerate(basis):
         if any(j != i and _divides(lts[j], lts[i])
                and (not _divides(lts[i], lts[j]) or j < i) for j in range(len(basis))):
@@ -136,19 +133,17 @@ def _reduce_basis(basis, order) -> list:
     reduced = []
     for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1:]
-        r = reduce_poly(g, others, order) if others else g
+        r = reduce_poly(g, others) if others else g
         if not r.is_zero():
             reduced.append(r.monic())
-    key = order.key_function(reduced[0].variables) if reduced else None
-    reduced.sort(key=lambda g: key(g.leading_term(order)[0]))
+    reduced.sort(key=lambda g: monomial_key(g.leading_term()[0]))
     return reduced
 
 
 class Ideal:
     """An ideal of a polynomial ring, with a cached reduced Groebner basis."""
 
-    def __init__(self, generators: Iterable[Polynomial], variables=None,
-                 order: MonomialOrder | None = None):
+    def __init__(self, generators: Iterable[Polynomial], variables=None):
         gens = [g for g in generators if not g.is_zero()]
         if variables is None:
             if not gens:
@@ -159,12 +154,11 @@ class Ideal:
             if g.variables != self.variables:
                 raise StructuralError("ideal generators live in different rings")
         self.generators = gens
-        self.order = order or default_order(self.variables)
         self._basis = None
         self._leading = None  # leading terms of _basis
 
     def __repr__(self):
-        shown = ", ".join(g.to_str(self.order) for g in self.generators[:6])
+        shown = ", ".join(g.to_str() for g in self.generators[:6])
         if len(self.generators) > 6:
             shown += ", ..."
         return f"<Ideal ({shown})>"
@@ -175,8 +169,8 @@ class Ideal:
 
     def groebner_basis(self) -> list:
         if self._basis is None:
-            self._basis = buchberger(self.generators, self.order)
-            self._leading = [g.leading_term(self.order) for g in self._basis]
+            self._basis = buchberger(self.generators)
+            self._leading = [g.leading_term() for g in self._basis]
         return self._basis
 
     @cached_property
@@ -199,7 +193,7 @@ class Ideal:
         return len(basis) == 1 and basis[0].is_constant()
 
     def normal_form(self, f: Polynomial) -> Polynomial:
-        return reduce_poly(f, self.groebner_basis(), self.order, self._leading)
+        return reduce_poly(f, self.groebner_basis(), self._leading)
 
     def __contains__(self, f: Polynomial) -> bool:
         if f.is_zero():
@@ -229,8 +223,7 @@ class Ideal:
     def __add__(self, other: "Ideal") -> "Ideal":
         if self.variables != other.variables:
             raise StructuralError("ideals live in different rings")
-        return Ideal(self.generators + other.generators,
-                     variables=self.variables, order=self.order)
+        return Ideal(self.generators + other.generators, variables=self.variables)
 
     def __mul__(self, other: "Ideal") -> "Ideal":
         if self.variables != other.variables:
@@ -241,14 +234,13 @@ class Ideal:
             gens = [Polynomial(self.variables, {e: Fraction(1)}) for e in exps]
         else:
             gens = [f * g for f in self.generators for g in other.generators]
-        return Ideal(gens, variables=self.variables, order=self.order)
+        return Ideal(gens, variables=self.variables)
 
     def __pow__(self, k: int) -> "Ideal":
         if not isinstance(k, int) or k < 0:
             raise InputError("ideal powers must be nonnegative integers")
         if k == 0:
-            return Ideal([Polynomial.one(self.variables)], variables=self.variables,
-                         order=self.order)
+            return Ideal([Polynomial.one(self.variables)], variables=self.variables)
         result = self
         for _ in range(k - 1):
             result = result * self
@@ -268,14 +260,12 @@ class PresentedRing:
     """Polynomial ring modulo relations, with unique normal forms.
 
     Normal forms are remainders modulo the reduced Groebner basis of the
-    relation ideal under the ring's monomial order, so nf(f) == 0 exactly
-    when f lies in the relation ideal.
+    relation ideal under ``monomial_key`` (deglex along the ring's variable
+    tuple), so nf(f) == 0 exactly when f lies in the relation ideal.
     """
 
-    def __init__(self, variables, relations: Iterable[Polynomial] = (),
-                 order: MonomialOrder | None = None):
+    def __init__(self, variables, relations: Iterable[Polynomial] = ()):
         self.variables = tuple(variables)
-        self.order = order or default_order(self.variables)
         rels = [r for r in relations if not r.is_zero()]
         for r in rels:
             if r.variables != self.variables:
@@ -290,8 +280,7 @@ class PresentedRing:
     @property
     def relation_ideal(self) -> Ideal:
         if self._relation_ideal is None:
-            self._relation_ideal = Ideal(list(self.relations), variables=self.variables,
-                                         order=self.order)
+            self._relation_ideal = Ideal(list(self.relations), variables=self.variables)
             self._relation_ideal.groebner_basis()
         return self._relation_ideal
 

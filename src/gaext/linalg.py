@@ -1,7 +1,7 @@
 """Sparse linear algebra over Q with dependency tracking.
 
 Vectors are polynomials; the echelon structure keys each pivot row by its
-leading monomial under a fixed monomial order.  Pivot rows are kept as
+leading monomial under ``poly.monomial_key``.  Pivot rows are kept as
 inserted, not scaled to leading coefficient 1.  Every inserted row carries a
 combination dict mapping original tags to rational coefficients, so a linear
 dependence comes back as an explicit kernel combination and a successful
@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .poly import MonomialOrder, Polynomial, StructuralError, add_terms
+from .poly import Polynomial, StructuralError, add_terms, monomial_key
 
 
 class Echelon:
@@ -28,10 +28,8 @@ class Echelon:
     reduction terminates.
     """
 
-    def __init__(self, variables, order: MonomialOrder):
+    def __init__(self, variables):
         self.variables = tuple(variables)
-        self.order = order
-        self._key = order.key_function(self.variables)
         self.rows: dict = {}      # lead exponent -> reduced Polynomial
         self.combos: dict = {}    # lead exponent -> {tag: Fraction} giving that row
 
@@ -41,7 +39,7 @@ class Echelon:
     def _reduce(self, vec: Polynomial, combo: dict):
         work = dict(vec.terms)
         while work:
-            lead = max(work, key=self._key)
+            lead = max(work, key=monomial_key)
             row = self.rows.get(lead)
             if row is None:
                 break

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache
 from operator import add
 from typing import Iterable, Mapping
 
@@ -29,65 +28,13 @@ Coefficient = Fraction
 BIDEG_BOTTOM: tuple = ()
 
 
-class MonomialOrder:
-    """A total multiplicative monomial order with 1 minimal.
+def monomial_key(exps: Exponents) -> tuple:
+    """The one monomial order, deglex: a larger key is a larger monomial.
 
-    kind is one of "lex", "deglex", "degrevlex"; ties inside a graded
-    order are broken along the variable priority list.
+    Total degree decides first, then the exponents along the ring's own
+    variable tuple, the first variable most significant.
     """
-
-    __slots__ = ("kind", "variables")
-
-    KINDS = ("lex", "deglex", "degrevlex")
-
-    def __init__(self, kind: str, variables: Iterable[str]):
-        if kind not in self.KINDS:
-            raise ValueError(f"unknown monomial order kind {kind!r}")
-        self.kind = kind
-        self.variables = tuple(variables)
-
-    def __repr__(self):
-        return f"MonomialOrder({self.kind!r}, {self.variables!r})"
-
-    def __eq__(self, other):
-        return (isinstance(other, MonomialOrder)
-                and self.kind == other.kind and self.variables == other.variables)
-
-    def __hash__(self):
-        return hash((self.kind, self.variables))
-
-    def key_function(self, variables: tuple):
-        """Return a key function on exponent tuples aligned with `variables`.
-
-        Larger key means larger monomial.  Variables missing from the
-        priority list are treated as exponent zero.
-        """
-        perm = _alignment(self.variables, variables)
-        kind = self.kind
-
-        def key(exps: Exponents):
-            e = tuple(exps[i] if i >= 0 else 0 for i in perm)
-            if kind == "lex":
-                return e
-            total = sum(exps)
-            if kind == "deglex":
-                return (total,) + e
-            return (total,) + tuple(-x for x in reversed(e))
-
-        return key
-
-
-@lru_cache(maxsize=None)
-def _alignment(priority: tuple, variables: tuple) -> tuple:
-    pos = {v: i for i, v in enumerate(variables)}
-    missing = set(variables) - set(priority)
-    if missing:
-        raise StructuralError(f"order does not cover variables {sorted(missing)}")
-    return tuple(pos.get(v, -1) for v in priority)
-
-
-def default_order(variables: tuple) -> MonomialOrder:
-    return MonomialOrder("deglex", variables)
+    return (sum(exps),) + exps
 
 
 def add_terms(out: dict, terms: Mapping, c=1, shift: Exponents | None = None) -> dict:
@@ -204,16 +151,15 @@ class Polynomial:
         c = self.leading_coefficient()
         return self if c == 1 else self / c
 
-    def leading_term(self, order: MonomialOrder | None = None):
-        """(exponents, coefficient) of the largest term under `order`."""
+    def leading_term(self):
+        """(exponents, coefficient) of the largest term under monomial_key."""
         if not self.terms:
             raise StructuralError("zero polynomial has no leading term")
-        key = (order or default_order(self.variables)).key_function(self.variables)
-        exps = max(self.terms, key=key)
+        exps = max(self.terms, key=monomial_key)
         return exps, self.terms[exps]
 
-    def leading_coefficient(self, order: MonomialOrder | None = None) -> Fraction:
-        return self.leading_term(order)[1]
+    def leading_coefficient(self) -> Fraction:
+        return self.leading_term()[1]
 
     def used_variables(self) -> set:
         used = set()
@@ -369,15 +315,15 @@ class Polynomial:
 
     # -- printing / parsing -------------------------------------------
 
-    def sorted_terms(self, order: MonomialOrder | None = None):
-        key = (order or default_order(self.variables)).key_function(self.variables)
-        return sorted(self.terms.items(), key=lambda item: key(item[0]), reverse=True)
+    def sorted_terms(self):
+        return sorted(self.terms.items(), key=lambda item: monomial_key(item[0]),
+                      reverse=True)
 
-    def to_str(self, order: MonomialOrder | None = None) -> str:
+    def to_str(self) -> str:
         if not self.terms:
             return "0"
         parts = []
-        for exps, c in self.sorted_terms(order):
+        for exps, c in self.sorted_terms():
             monomial = monomial_label(self.variables, exps)
             mag = abs(c)
             if monomial == "1":

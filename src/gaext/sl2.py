@@ -79,6 +79,11 @@ def _add_graded_check(report: Report, check_id: str, computed: Ideal,
     return check.status == PASS
 
 
+def _with_bounds(params: tuple, verdict) -> tuple:
+    """params, followed by the bounds of an undecided verdict."""
+    return params + verdict.bounds if isinstance(verdict, Undecided) else params
+
+
 def sl2_sequence(nu_max: int) -> IdealSequence:
     """Graded ideals of O(SL2) itself, level nu at truncation L=nu, d=2nu+2."""
     return IdealSequence.compute(
@@ -185,7 +190,8 @@ def verify_family1(n: int, nu_max: int, bounds=as_is) -> Report:
     for nu, equal, witness in generated_in_degree_one(sequence):
         # both sides are lower bounds, so a difference disproves nothing
         verdict = equal or Undecided("LowerBound", sequence.truncations[nu].as_params())
-        report.add("degree-one-generation", verdict, (("n", n), ("nu", nu)), witness)
+        report.add("degree-one-generation", verdict,
+                   _with_bounds((("n", n), ("nu", nu)), verdict), witness)
 
     fixed = fixed_locus_ideal(d_gen)
     k = n + 2
@@ -311,11 +317,12 @@ def verify_family2(p: int, q: int, nu_max: int, bounds=as_is) -> Report:
         in_m1_sq = x3 in m1_squared
         cube = (in_m2 and not in_m1_sq if reached[1]
                 else Undecided("LowerBound", sequence.truncations[1].as_params()))
-        report.add("cube-witness", cube, (("p", p), ("q", q)),
+        report.add("cube-witness", cube, _with_bounds((("p", p), ("q", q)), cube),
                    f"x^3 in m_2: {in_m2}; x^3 in m_1^2: {in_m1_sq}")
         differs = (not sequence[2].equals(m1_squared) if reached[1] and reached[2]
                    else Undecided("LowerBound", sequence.truncations[2].as_params()))
-        report.add("degree-one-fails", differs, (("p", p), ("q", q)), "m_2 != m_1^2")
+        report.add("degree-one-fails", differs, _with_bounds((("p", p), ("q", q)), differs),
+                   "m_2 != m_1^2")
 
     probe = bounds(family2_truncation(p, q, 1))
     gens = family2_nonnegative_generators(p, q, min(probe.degree, p + q + 2))

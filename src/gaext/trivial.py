@@ -16,7 +16,7 @@ from .filtered import (FilteredSubalgebra, IdealSequence, TruncationParams,
                        subalgebra_contains, verify_sequence_axioms)
 from .groebner import Ideal, InputError, PresentedRing
 from .poly import Polynomial
-from .report import Report
+from .report import PASS, Report
 
 PLANE_VARS = ("x", "y", "t")
 
@@ -108,8 +108,8 @@ def classify_kind(ext: TrivialExtension) -> Classification:
 def ideal_sequence_algebra(sequence: IdealSequence) -> TrivialExtension:
     """Graded model algebra O(plane) + sum of m_nu t^nu from its generators."""
     axioms = verify_sequence_axioms(sequence)
-    if axioms.overall != "pass":
-        raise InputError("ideal sequence fails the sequence axioms")
+    if axioms.overall != PASS:
+        raise InputError("ideal sequence does not pass the sequence axioms")
     gens = {}
     proper = True
     ring = plane_ring()

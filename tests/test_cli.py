@@ -203,7 +203,8 @@ def test_zero_max_steps_is_valid(capsys):
 @pytest.mark.parametrize("argv, lines", [
     (("verify", "family1", "--n", "1", "--nu-max", "2", "--trunc-deg", "4"),
      ["graded-ideal\tindeterminate\tn=1,nu=2,L=2,d=4\tm_2 vs <x,y>^6: missing x^6",
-      "degree-one-generation\tindeterminate\tn=1,nu=2\ty^6 in m_1^2 but not in m_2"]),
+      "degree-one-generation\tindeterminate\tn=1,nu=2,L=2,d=4\t"
+      "y^6 in m_1^2 but not in m_2"]),
     (("verify", "cross-family", "--trunc-deg", "2"),
      ["p0-graded-ideal\tindeterminate\tnu=2,L=1,d=2\tm_2(P(1,1)) vs <x,y>^4: missing x^4",
       "dominating-level\tindeterminate\tL=1,d=2\t"
@@ -215,6 +216,29 @@ def test_truncated_lower_bounds_are_indeterminate(capsys, argv, lines):
     assert code == EXIT_INDETERMINATE
     indeterminate = [line for line in out.splitlines() if "\tindeterminate\t" in line]
     assert indeterminate == lines
+    assert "\tfail\t" not in out
+
+
+@pytest.mark.parametrize("scale, flags", [
+    (None, ("--trunc-deg", "3")),
+    (None, ("--trunc-len", "1")),
+    ("0.5", ()),
+])
+@pytest.mark.parametrize("suite", [
+    ("family1", "--n", "1"),
+    ("family2", "--p", "2", "--q", "1"),
+    ("cross-family",),
+    ("sequence-axioms", "--n", "1"),
+])
+def test_tighter_bounds_never_fail(capsys, monkeypatch, suite, scale, flags):
+    # every computed level is a lower bound, so cutting it shorter can leave
+    # a claim open but never disprove it
+    if scale is None:
+        monkeypatch.delenv("LND_TRUNC_SCALE", raising=False)
+    else:
+        monkeypatch.setenv("LND_TRUNC_SCALE", scale)
+    code, out, _ = run(capsys, "verify", *suite, "--nu-max", "2", *flags)
+    assert code != EXIT_FAIL
     assert "\tfail\t" not in out
 
 

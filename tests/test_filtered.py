@@ -14,7 +14,7 @@ from gaext.filtered import (FilteredSubalgebra, IdealSequence, TruncationParams,
                             truncated_spans, verify_sequence_axioms)
 from gaext.groebner import Ideal, InputError, PresentedRing
 from gaext.linalg import Echelon
-from gaext.poly import Polynomial, parse
+from gaext.poly import Polynomial, monomial_key, parse
 from gaext.report import PASS, Member, Undecided
 from gaext.sl2 import (base_power_ideal, family1_derivation, family1_subalgebra,
                        family1_truncation, family2_subalgebra, family2_truncation,
@@ -88,9 +88,8 @@ def _reference_span(sub, trunc):
             if canon not in seen:
                 label = "*".join(lab for lab in (mlab, wlab) if lab != "1") or "1"
                 seen[canon] = (label, poly)
-    key = ring.order.key_function(ring.variables)
-    return sorted(seen.values(), key=lambda e: (e[1].total_degree(),
-                                                key(max(e[1].terms, key=key)), e[0]))
+    return sorted(seen.values(), key=lambda e: (
+        e[1].total_degree(), monomial_key(max(e[1].terms, key=monomial_key)), e[0]))
 
 
 T = TruncationParams
@@ -262,9 +261,9 @@ def test_sequence_axioms_run_no_buchberger(monkeypatch):
     calls = []
     original = gaext.groebner.buchberger
 
-    def counting(gens, order):
+    def counting(gens):
         calls.append(len(gens))
-        return original(gens, order)
+        return original(gens)
 
     monkeypatch.setattr(gaext.groebner, "buchberger", counting)
     assert verify_sequence_axioms(sequence).overall == PASS
@@ -390,7 +389,7 @@ def test_family2_generators_span_their_products():
                                declared.generators)
     ranks = []
     for sub, length in ((declared, 1), (plain, 2)):
-        echelon = Echelon(sub.ambient.variables, sub.ambient.order)
+        echelon = Echelon(sub.ambient.variables)
         for el in truncated_span(sub, T(length, degree)):
             echelon.insert(el.poly, el.label)
         ranks.append(len(echelon))

@@ -1,8 +1,7 @@
 """Reports under explicit truncation flags or LND_TRUNC_SCALE, byte for byte.
 
-Each expected file under tests/flagged/ was recorded from the code before
-the suites took their bounds as one function, so these pin how flags, the
-scale and each suite's default bounds combine.
+Each expected file under tests/flagged/ pins how flags, the scale and each
+suite's default bounds combine, and what a truncated shortfall prints.
 """
 
 import pathlib
@@ -29,6 +28,10 @@ CASES = {
     "sequence-axioms-nu2-n1-deg6": (
         None, ("verify", "sequence-axioms", "--nu-max", "2", "--n", "1",
                "--trunc-deg", "6"), EXIT_PASS),
+    # the computed m_2 misses part of m_1*m_1: open at level 2's bounds
+    "sequence-axioms-nu2-n1-deg3": (
+        None, ("verify", "sequence-axioms", "--nu-max", "2", "--n", "1",
+               "--trunc-deg", "3"), EXIT_INDETERMINATE),
     "family1-n1-nu1-scale1.5": (
         "1.5", ("verify", "family1", "--n", "1", "--nu-max", "1"), EXIT_PASS),
     # a flag replaces the scale: the level prints L=1,d=8

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from gaext.linalg import Echelon
-from gaext.poly import Polynomial, default_order
+from gaext.poly import Polynomial
 
 XYZ = ("x", "y", "z")
 
@@ -42,7 +42,7 @@ def _combination(rows, combo):
 
 
 def _filled(rows):
-    echelon = Echelon(XYZ, default_order(XYZ))
+    echelon = Echelon(XYZ)
     dependences = [echelon.insert(row, tag) for tag, row in enumerate(rows)]
     return echelon, dependences
 

@@ -1,4 +1,4 @@
-"""Polynomial arithmetic, the sparse-term kernel, monomial orders, parsing,
+"""Polynomial arithmetic, the sparse-term kernel, the monomial order, parsing,
 bidegrees."""
 
 import ast
@@ -11,8 +11,8 @@ import pytest
 import gaext
 from gaext.groebner import reduce_poly
 from gaext.linalg import Echelon
-from gaext.poly import (BIDEG_BOTTOM, MonomialOrder, Polynomial,
-                        StructuralError, add_terms, bidegree, default_order,
+from gaext.poly import (BIDEG_BOTTOM, Polynomial,
+                        StructuralError, add_terms, bidegree,
                         parse, ring)
 
 XY = ("x", "y")
@@ -98,19 +98,12 @@ def test_parse_forms():
 
 def test_order_leading_terms():
     f = parse("x*v - y*u - 1", XYUV)
-    deglex = MonomialOrder("deglex", XYUV)
-    assert f.leading_term(deglex) == ((1, 0, 0, 1), Fraction(1))
-    lex = MonomialOrder("lex", XYUV)
-    assert f.leading_term(lex)[0] == (1, 0, 0, 1)
-    grevlex = MonomialOrder("degrevlex", XYUV)
-    # under degrevlex the later pair y*u beats x*v
-    assert f.leading_term(grevlex)[0] == (0, 1, 1, 0)
+    assert f.leading_term() == ((1, 0, 0, 1), Fraction(1))
 
 
 def test_order_total_degree_dominates():
-    deglex = default_order(XY)
     f = parse("x + y^3", XY)
-    assert f.leading_term(deglex)[0] == (0, 3)
+    assert f.leading_term()[0] == (0, 3)
 
 
 def test_bidegree():
@@ -181,7 +174,7 @@ def test_arithmetic_results_hold_only_nonzero_fractions():
     a, b = ring("a b")
     f = x * y + 1 - y ** 2 * Fraction(3, 2)
     g = x - 1
-    echelon = Echelon(XY, default_order(XY))
+    echelon = Echelon(XY)
     for tag, row in enumerate((x * y - y, y ** 2 + x, x + 1)):
         echelon.insert(row, tag)
     residual, combo = echelon.reduce(f * g + 7)
@@ -192,7 +185,7 @@ def test_arithmetic_results_hold_only_nonzero_fractions():
                (x + 1).substitute({"x": a * b, "y": a}),
                Polynomial.one(XY).substitute({"x": a, "y": b}),
                f.substitute({"x": a - 1, "y": b + 1}),
-               reduce_poly(f * g + x, [x * y - 1, y ** 2], default_order(XY)),
+               reduce_poly(f * g + x, [x * y - 1, y ** 2]),
                residual]
     for h in results:
         assert all(type(c) is Fraction and c != 0 for c in h.terms.values()), h
