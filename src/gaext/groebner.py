@@ -262,6 +262,12 @@ class PresentedRing:
     Normal forms are remainders modulo the reduced Groebner basis of the
     relation ideal under ``monomial_key`` (deglex along the ring's variable
     tuple), so nf(f) == 0 exactly when f lies in the relation ideal.
+
+    When that basis is one x^m - tail, with x^m nonconstant and no tail
+    monomial sharing a variable with it (O(SL2): x*v -> y*u + 1), each term
+    c*x^e becomes c*x^(e - k*m)*tail^k in one pass, k the largest power of
+    x^m dividing x^e.  No result term is divisible by x^m, so the pass yields
+    the remainder itself; every other ring divides by its basis.
     """
 
     def __init__(self, variables, relations: Iterable[Polynomial] = ()):
@@ -296,15 +302,44 @@ class PresentedRing:
     def gens(self) -> tuple:
         return tuple(self.var(v) for v in self.variables)
 
+    @cached_property
+    def _one_relation(self):
+        """(support of m, m, [1, tail, tail^2, ...]) for the one-pass rule,
+        else None; the powers grow on demand."""
+        basis = self.relation_ideal.groebner_basis()
+        if len(basis) != 1:
+            return None
+        m = basis[0].leading_term()[0]
+        support = tuple((i, a) for i, a in enumerate(m) if a)
+        tail = Polynomial._of(self.variables, {e: -c for e, c in basis[0].terms.items()
+                                               if e != m})
+        if not support or any(e[i] for e in tail.terms for i, _ in support):
+            return None
+        return support, m, [self.one(), tail]
+
     def normal_form(self, f: Polynomial) -> Polynomial:
         if f.variables != self.variables:
             raise StructuralError("element outside the ring's variables")
         if not self.relations:
             return f
-        ideal = self.relation_ideal
-        if not any(_divides(lt, e) for e in f.terms for lt, _ in ideal._leading):
-            return f  # no term is divisible by a basis leading term
-        return ideal.normal_form(f)
+        rule = self._one_relation
+        if rule is None:
+            ideal = self.relation_ideal
+            if not any(_divides(lt, e) for e in f.terms for lt, _ in ideal._leading):
+                return f  # no term is divisible by a basis leading term
+            return ideal.normal_form(f)
+        support, m, powers = rule
+        out = None
+        for e, c in f.terms.items():
+            k = min(e[i] // a for i, a in support)
+            if k:
+                if out is None:
+                    out = dict(f.terms)
+                del out[e]  # no result term equals e, which x^m divides
+                while len(powers) <= k:
+                    powers.append(powers[-1] * powers[1])
+                add_terms(out, powers[k].terms, c, tuple(a - k * b for a, b in zip(e, m)))
+        return f if out is None else Polynomial._of(self.variables, out)
 
     def parse(self, text: str) -> Polynomial:
         from .poly import parse

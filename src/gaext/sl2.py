@@ -84,6 +84,12 @@ def _with_bounds(params: tuple, verdict) -> tuple:
     return params + verdict.bounds if isinstance(verdict, Undecided) else params
 
 
+def _levels_bounds(sequence: IdealSequence, *levels) -> tuple:
+    """The bounds of each level a comparison reads, as L_nu and d_nu."""
+    return tuple((f"{name}_{nu}", value) for nu in levels
+                 for name, value in sequence.truncations[nu].as_params())
+
+
 def sl2_sequence(nu_max: int) -> IdealSequence:
     """Graded ideals of O(SL2) itself, level nu at truncation L=nu, d=2nu+2."""
     return IdealSequence.compute(
@@ -189,7 +195,7 @@ def verify_family1(n: int, nu_max: int, bounds=as_is) -> Report:
                           sequence.truncations[nu], f"m_{nu} vs <x,y>^{(n + 2) * nu}")
     for nu, equal, witness in generated_in_degree_one(sequence):
         # both sides are lower bounds, so a difference disproves nothing
-        verdict = equal or Undecided("LowerBound", sequence.truncations[nu].as_params())
+        verdict = equal or Undecided("LowerBound", _levels_bounds(sequence, 1, nu))
         report.add("degree-one-generation", verdict,
                    _with_bounds((("n", n), ("nu", nu)), verdict), witness)
 
@@ -316,11 +322,11 @@ def verify_family2(p: int, q: int, nu_max: int, bounds=as_is) -> Report:
         in_m2 = x3 in sequence[2]
         in_m1_sq = x3 in m1_squared
         cube = (in_m2 and not in_m1_sq if reached[1]
-                else Undecided("LowerBound", sequence.truncations[1].as_params()))
+                else Undecided("LowerBound", _levels_bounds(sequence, 1, 2)))
         report.add("cube-witness", cube, _with_bounds((("p", p), ("q", q)), cube),
                    f"x^3 in m_2: {in_m2}; x^3 in m_1^2: {in_m1_sq}")
         differs = (not sequence[2].equals(m1_squared) if reached[1] and reached[2]
-                   else Undecided("LowerBound", sequence.truncations[2].as_params()))
+                   else Undecided("LowerBound", _levels_bounds(sequence, 1, 2)))
         report.add("degree-one-fails", differs, _with_bounds((("p", p), ("q", q)), differs),
                    "m_2 != m_1^2")
 

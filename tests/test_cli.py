@@ -203,7 +203,7 @@ def test_zero_max_steps_is_valid(capsys):
 @pytest.mark.parametrize("argv, lines", [
     (("verify", "family1", "--n", "1", "--nu-max", "2", "--trunc-deg", "4"),
      ["graded-ideal\tindeterminate\tn=1,nu=2,L=2,d=4\tm_2 vs <x,y>^6: missing x^6",
-      "degree-one-generation\tindeterminate\tn=1,nu=2,L=2,d=4\t"
+      "degree-one-generation\tindeterminate\tn=1,nu=2,L_1=1,d_1=4,L_2=2,d_2=4\t"
       "y^6 in m_1^2 but not in m_2"]),
     (("verify", "cross-family", "--trunc-deg", "2"),
      ["p0-graded-ideal\tindeterminate\tnu=2,L=1,d=2\tm_2(P(1,1)) vs <x,y>^4: missing x^4",

@@ -1,7 +1,9 @@
 """Reports under explicit truncation flags or LND_TRUNC_SCALE, byte for byte.
 
 Each expected file under tests/flagged/ pins how flags, the scale and each
-suite's default bounds combine, and what a truncated shortfall prints.
+suite's default bounds combine, and what a truncated shortfall prints.  One
+more file pins a deep run at default bounds, family 1 up to nu = 5, whose
+spans normal-form products up to the fifth power of the SL2 relation's tail.
 """
 
 import pathlib
@@ -38,6 +40,9 @@ CASES = {
     "family1-n1-nu1-scale2-deg8": (
         "2", ("verify", "family1", "--n", "1", "--nu-max", "1", "--trunc-deg", "8"),
         EXIT_PASS),
+    # default bounds, deep: levels 0..5 of family 1
+    "family1-n1-nu5": (
+        None, ("verify", "family1", "--n", "1", "--nu-max", "5"), EXIT_PASS),
 }
 
 

@@ -148,8 +148,9 @@ def test_family2_cube_checks_wait_for_their_levels(degree, graded, cube, differs
     assert [c.status for c in report.checks if c.check_id == "graded-ideal"] == graded
     for check_id, expected in (("cube-witness", cube), ("degree-one-fails", differs)):
         assert status[check_id].status == expected
-        # an undecided line names the bounds it read
-        bounds = () if expected == PASS else (("L", 1), ("d", degree))
+        # an undecided line names the bounds of both levels it read
+        bounds = () if expected == PASS else (
+            ("L_1", 1), ("d_1", degree), ("L_2", 1), ("d_2", degree))
         assert status[check_id].params == (("p", 2), ("q", 1)) + bounds
 
 
