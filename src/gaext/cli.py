@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -33,8 +34,8 @@ def _trunc_scale() -> float:
         value = float(raw)
     except ValueError as exc:
         raise StructuralError(f"bad LND_TRUNC_SCALE value {raw!r}") from exc
-    if value <= 0:
-        raise StructuralError("LND_TRUNC_SCALE must be positive")
+    if not (value > 0 and math.isfinite(value)):
+        raise StructuralError("LND_TRUNC_SCALE must be positive and finite")
     return value
 
 

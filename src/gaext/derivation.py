@@ -11,12 +11,27 @@ from .poly import Polynomial, StructuralError, add_terms
 from .report import Undecided
 
 
+def _integral(terms: dict) -> dict:
+    """Terms with each coefficient of denominator 1 as an ``int``."""
+    return {e: c.numerator if c.denominator == 1 else c for e, c in terms.items()}
+
+
+def _polynomial(variables: tuple, terms: dict) -> Polynomial:
+    """The polynomial of nonzero terms, with every coefficient a ``Fraction``."""
+    return Polynomial._of(variables, {e: c if type(c) is Fraction else Fraction(c)
+                                      for e, c in terms.items()})
+
+
 class Derivation:
     """A derivation of a presented ring, given by its images on the variables.
 
     Construction checks that the derivation kills the relation ideal, i.e.
     that applying the Leibniz rule to each relation lands back in the ideal;
     otherwise the map would not descend to the quotient.
+
+    D and the normal form are both linear, so D is applied through a table
+    of the normal form of D(m), built once per monomial m on first use and
+    kept as long as the derivation is.
     """
 
     def __init__(self, ring: PresentedRing, images: Mapping[str, Polynomial]):
@@ -37,6 +52,9 @@ class Derivation:
         self._leibniz = tuple((i, imgs[name].terms)
                               for i, name in enumerate(ring.variables)
                               if not imgs[name].is_zero())
+        # exponents -> terms of D(monomial) in normal form, integral
+        # coefficients as int, filled on first use
+        self._rows: dict = {}
         for rel in ring.relations:
             if not self._apply_raw(rel) in ring.relation_ideal:
                 raise InputError(
@@ -61,10 +79,27 @@ class Derivation:
                     add_terms(terms, image, k * c, exps[:i] + (k - 1,) + exps[i + 1:])
         return Polynomial._of(f.variables, terms)
 
+    def apply_terms(self, terms: dict) -> dict:
+        """The terms of D(f) in normal form, from the terms of f.
+
+        Only products and sums of the coefficients with table rows happen
+        here, so integer coefficients stay ``int``.
+        """
+        rows = self._rows
+        out: dict = {}
+        for exps, c in terms.items():
+            row = rows.get(exps)
+            if row is None:
+                monomial = Polynomial._of(self.ring.variables, {exps: Fraction(1)})
+                row = self.ring.normal_form(self._apply_raw(monomial))
+                row = rows[exps] = _integral(row.terms)
+            add_terms(out, row, c)
+        return out
+
     def __call__(self, f: Polynomial) -> Polynomial:
         if f.variables != self.ring.variables:
             raise StructuralError("argument outside the derivation's ring")
-        return self.ring.normal_form(self._apply_raw(f))
+        return _polynomial(f.variables, self.apply_terms(f.terms))
 
     def _chain(self, f: Polynomial, bound: int | None):
         """[f, D f, ..., D^nu f] in normal form, up to the last nonzero iterate,

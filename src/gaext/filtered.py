@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .derivation import Derivation
+from .derivation import Derivation, _integral, _polynomial
 from .groebner import Ideal, InputError, PresentedRing
 from .linalg import Echelon
 from .poly import Polynomial, StructuralError, add_terms, monomial_key, monomial_label
@@ -48,17 +48,6 @@ class TruncationParams:
 
     def as_params(self) -> tuple:
         return (("L", self.word_length), ("d", self.degree))
-
-
-def _integral(terms: dict) -> dict:
-    """Terms with each coefficient of denominator 1 as an ``int``."""
-    return {e: c.numerator if c.denominator == 1 else c for e, c in terms.items()}
-
-
-def _polynomial(variables: tuple, terms: dict) -> Polynomial:
-    """The polynomial of nonzero terms, with every coefficient a ``Fraction``."""
-    return Polynomial._of(variables, {e: c if type(c) is Fraction else Fraction(c)
-                                      for e, c in terms.items()})
 
 
 @dataclass(frozen=True)
@@ -102,33 +91,6 @@ class FilteredSubalgebra:
             gens[label] = nf
         self.generators = gens
         self.module_spanning = bool(module_spanning)
-        # exponents -> terms of derivation(monomial), integral ones as int,
-        # filled on first use
-        self._d_rows: dict = {}
-
-    def _apply_terms(self, terms: dict) -> dict:
-        """The terms of D(f) in normal form, from the terms of f.
-
-        D and the normal form are both linear, so the normal form of D(m) is
-        computed once per monomial m, by ``derivation``, and reused.  Only
-        products and sums of the coefficients happen here, so integer
-        coefficients stay ``int`` and the result is exact either way.
-        """
-        rows = self._d_rows
-        out: dict = {}
-        for exps, c in terms.items():
-            row = rows.get(exps)
-            if row is None:
-                monomial = Polynomial._of(self.ambient.variables, {exps: Fraction(1)})
-                row = rows[exps] = _integral(self.derivation(monomial).terms)
-            add_terms(out, row, c)
-        return out
-
-    def apply_derivation(self, f: Polynomial) -> Polynomial:
-        """D(f) in normal form, as the sum of f's coefficients times cached rows."""
-        if f.variables != self.ambient.variables:
-            raise StructuralError("argument outside the derivation's ring")
-        return _polynomial(f.variables, self._apply_terms(f.terms))
 
     def _base_monomials(self, degree: int):
         """(label, exponents, total degree) for base monomials up to degree."""
@@ -278,7 +240,7 @@ def compute_m_nu(subalgebra: FilteredSubalgebra, nu: int,
         raise InputError("filtration level must be nonnegative")
     ambient = subalgebra.ambient
     variables = ambient.variables
-    apply = subalgebra._apply_terms
+    apply = subalgebra.derivation.apply_terms
     elements = truncated_span(subalgebra, truncation) if span is None else span
     echelon = Echelon(variables)
     level_images = {}  # span index -> terms of D^nu of the element

@@ -336,7 +336,7 @@ def verify_family2(p: int, q: int, nu_max: int, bounds=as_is) -> Report:
     for label, g in sorted(gens.items()):
         if grading.weight_range(g)[0] <= 0:
             continue
-        image = sequence.subalgebra.apply_derivation(g)
+        image = derivation(g)
         if image.is_zero():
             continue
         if grading.weight_range(image)[0] <= 0:

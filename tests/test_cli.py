@@ -92,9 +92,10 @@ def test_trunc_scale_env(capsys, monkeypatch):
     assert code == EXIT_PASS
     # the scaled degree bound 7 -> 10 appears in the graded-ideal check line
     assert "d=10" in out
-    monkeypatch.setenv("LND_TRUNC_SCALE", "-1")
-    code, _, _ = run(capsys, "verify", "family1", "--n", "1", "--nu-max", "1")
-    assert code == EXIT_USAGE
+    for bad in ("-1", "nan", "inf"):
+        monkeypatch.setenv("LND_TRUNC_SCALE", bad)
+        code, _, _ = run(capsys, "verify", "family1", "--n", "1", "--nu-max", "1")
+        assert code == EXIT_USAGE
 
 
 def test_scaled_family2_spans_stay_one_generator_long(capsys, monkeypatch):

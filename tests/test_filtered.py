@@ -18,7 +18,8 @@ from gaext.poly import Polynomial, monomial_key, parse
 from gaext.report import PASS, Member, Undecided
 from gaext.sl2 import (base_power_ideal, family1_derivation, family1_subalgebra,
                        family1_truncation, family2_subalgebra, family2_truncation,
-                       sl2_ring, sl2_sequence, sl2_subalgebra, verify_family2)
+                       sequence_axioms_checks, sl2_derivation, sl2_ring, sl2_sequence,
+                       sl2_subalgebra, verify_family2)
 from gaext.trivial import TrivialExtension
 
 
@@ -312,7 +313,7 @@ def test_leibniz_rows_match_partial_derivatives():
             f = _random_polynomial(sub.ambient.variables, rng)
             raw = derivation._apply_raw(f)
             assert raw == _partial_derivative_sum(derivation, f)
-            assert _all_fractions([raw, derivation(f), sub.apply_derivation(f)])
+            assert _all_fractions([raw, derivation(f)])
 
 
 def test_integer_chains_leave_only_fractions():
@@ -325,7 +326,7 @@ def test_integer_chains_leave_only_fractions():
         for nu in range(3):
             gens.extend(compute_m_nu(sub, nu, TruncationParams(2, 6)).generators)
         assert gens and _all_fractions(gens)
-        coefficients = [c for row in sub._d_rows.values() for c in row.values()]
+        coefficients = [c for row in sub.derivation._rows.values() for c in row.values()]
         assert all(type(c) is int or c.denominator > 1 for c in coefficients)
         rows_with_fractions.append(any(type(c) is Fraction for c in coefficients))
     # only D(t) = x/2 has table rows with a non-integral coefficient
@@ -340,34 +341,54 @@ def test_derivation_table_matches_leibniz_rule():
         for _ in range(60):
             f = _random_polynomial(ring.variables, rng)
             expected = ring.normal_form(derivation._apply_raw(f))
-            assert sub.apply_derivation(f) == expected
+            assert derivation(f) == expected
             unreduced_inputs += ring.normal_form(f) != f
         # inputs divisible by x*v are not normal forms in O(SL2)
         assert (unreduced_inputs > 0) == presented
 
 
-def test_family2_differentiates_each_monomial_once(monkeypatch):
+@pytest.fixture
+def row_builds(monkeypatch):
+    """Monomials whose table row is built, on a fresh cached sl2 derivation."""
+    sl2_derivation.cache_clear()
+    sl2_derivation()  # its relation check is not a row build
     calls = []
-    original = Derivation.__call__
+    original = Derivation._apply_raw
 
     def counting(self, f):
         calls.append(f)
         return original(self, f)
 
-    monkeypatch.setattr(Derivation, "__call__", counting)
+    monkeypatch.setattr(Derivation, "_apply_raw", counting)
+    yield calls
+    sl2_derivation.cache_clear()
+
+
+def test_family2_differentiates_each_monomial_once(row_builds):
     assert verify_family2(3, 2, 3).overall == PASS
-    assert all(f.is_monomial() for f in calls)
-    assert len(calls) == len(set(calls))
-    assert len(calls) < 10000  # 34 997 when every image was re-derived
+    assert all(f.is_monomial() for f in row_builds)
+    assert len(row_builds) == len(set(row_builds))
+    assert len(row_builds) < 10000  # 34 997 when every image was re-derived
 
 
-def test_derivation_table_belongs_to_one_subalgebra():
+def test_sequence_axioms_build_each_row_once(row_builds):
+    # O(SL2) and family one need 80 and 171 rows, 194 of them distinct, and
+    # both read the table of the cached sl2 derivation
+    assert sequence_axioms_checks(1, 2).overall == PASS
+    assert all(f.is_monomial() for f in row_builds)
+    assert len(row_builds) == len(set(row_builds)) < 80 + 171
+
+
+def test_derivation_table_is_shared_by_its_subalgebras(row_builds):
     first = family2_subalgebra(2, 1, 6)
     second = family2_subalgebra(2, 1, 6)
     assert first.derivation is second.derivation  # the cached sl2 derivation
-    first.apply_derivation(first.generators["x^2*u"])
-    assert first._d_rows and not second._d_rows
-    assert not hasattr(first.derivation, "_d_rows")
+    g = first.generators["x^2*u"]
+    image = first.derivation(g)
+    assert len(row_builds) == len(g.terms)
+    assert second.derivation(second.generators["x^2*u"]) == image
+    assert len(row_builds) == len(g.terms)  # the second reads the first's rows
+    assert set(first.derivation._rows) == set(g.terms)
 
 
 @pytest.mark.parametrize("p, q", [(1, 1), (2, 1)])
