@@ -43,7 +43,8 @@ def _bounds(args):
     """The bounds every suite applies to its own default truncations.
 
     A flag replaces its field and the other keeps its default; with
-    neither flag, LND_TRUNC_SCALE scales both.
+    neither flag, LND_TRUNC_SCALE scales both.  A scale too large for a
+    bound to stay finite is an input error.
     """
     flags = {field: value for field, value in (("word_length", args.trunc_len),
                                                ("degree", args.trunc_deg))
@@ -51,7 +52,12 @@ def _bounds(args):
 
     def bounds(truncation: TruncationParams) -> TruncationParams:
         scale = _trunc_scale()  # a bad scale is an error even under flags
-        return replace(truncation, **flags) if flags else truncation.scaled(scale)
+        if flags:
+            return replace(truncation, **flags)
+        try:
+            return truncation.scaled(scale)
+        except OverflowError as exc:
+            raise StructuralError(f"LND_TRUNC_SCALE {scale} overflows a bound") from exc
     return bounds
 
 

@@ -12,6 +12,14 @@ graded sequence: it takes one ``TruncationParams`` per level (the list
 index is nu), builds every level's span in one pass, computes each m_nu
 once, and keeps the per-level bounds in ``IdealSequence.truncations`` so
 every check can report its own level's.
+
+A subalgebra may declare a 2-torus grading under which its relations,
+generators and derivation are homogeneous and its two base variables have
+independent weights, as O(SL2) and its subalgebras do.  Every span element
+then lies in one torus block, each block's D^nu images are multiples of one
+base monomial, and ``compute_m_nu`` reads m_nu off the blocks one at a
+time, skipping each block whose monomial it has already covered.  Without
+a torus it takes the kernel of D^(nu+1) on the whole span.
 """
 
 from __future__ import annotations
@@ -19,10 +27,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
-from .derivation import Derivation, _integral, _polynomial
-from .groebner import Ideal, InputError, PresentedRing
+from .derivation import Derivation, Grading, _integral, _polynomial, homogeneity_degree
+from .groebner import Ideal, InputError, PresentedRing, _divides
 from .linalg import Echelon
 from .poly import Polynomial, StructuralError, add_terms, monomial_key, monomial_label
 from .report import Member, Report, Undecided
@@ -68,11 +77,18 @@ class FilteredSubalgebra:
     a combination of 1 and the generators of degree at most d.  Span
     construction then skips base monomials and words of two or more
     generators, which would only add dependent products.
+
+    ``torus`` may hold two ``Grading``s of the ambient ring; construction
+    raises ``InputError`` unless D and every generator are homogeneous for
+    both and the two base variables' weights are independent.  Since the
+    ring's products and normal forms keep both degrees, every span element
+    is then bihomogeneous, and ``compute_m_nu`` works block by block.
     """
 
     def __init__(self, ambient: PresentedRing, derivation: Derivation,
                  base_vars: Sequence[str], generators: dict,
-                 module_spanning: bool = False):
+                 module_spanning: bool = False,
+                 torus: Sequence[Grading] | None = None):
         if derivation.ring is not ambient:
             raise StructuralError("derivation acts on a different ring")
         self.ambient = ambient
@@ -91,6 +107,75 @@ class FilteredSubalgebra:
             gens[label] = nf
         self.generators = gens
         self.module_spanning = bool(module_spanning)
+        self.torus = None if torus is None else tuple(torus)
+        if self.torus is not None:
+            self._block_weights, self._block_shift = self._torus_coordinates()
+
+    def _torus_coordinates(self) -> tuple:
+        """Each variable's torus weights, and D's shift, in base exponents.
+
+        Checks the torus: two gradings of the ambient ring (so the
+        relations are homogeneous for both), D homogeneous for both, every
+        generator bihomogeneous, and two base variables with independent
+        weights.  A bidegree then names one exponent pair (a, b) of the
+        base variables, whether or not a and b are natural numbers: the
+        coordinates of a variable are the base exponents of its weights,
+        and those of the shift tell where D moves a block.
+        """
+        if len(self.torus) != 2 or any(g.ring is not self.ambient for g in self.torus):
+            raise InputError("a torus is two gradings of the ambient ring")
+        shift = [homogeneity_degree(self.derivation, g) for g in self.torus]
+        if None in shift:
+            raise InputError("the derivation is not homogeneous for the torus")
+        if len(self.base_vars) != 2:
+            raise InputError("a torus needs exactly two base variables")
+        (a, b), (c, d) = ([w.weights[n] for n in self.base_vars] for w in self.torus)
+        det = a * d - b * c
+        if not det:
+            raise InputError("the base variables' torus weights are dependent")
+
+        def solve(w1: int, w2: int) -> tuple:
+            # the exponent pair (e1, e2) with e1*col(a, c) + e2*col(b, d) = (w1, w2)
+            pair = (Fraction(d * w1 - b * w2, det), Fraction(a * w2 - c * w1, det))
+            return tuple(e.numerator if e.denominator == 1 else e for e in pair)
+        columns = [solve(*(w.weights[n] for w in self.torus)) for n in self.ambient.variables]
+        w1, w2 = tuple(zip(*columns))
+        for label, g in self.generators.items():
+            if len(g.terms) > 1 and len({(sum(map(mul, e, w1)), sum(map(mul, e, w2)))
+                                         for e in g.terms}) > 1:
+                raise InputError(f"generator {label} is not homogeneous for the torus")
+        return (w1, w2), solve(*shift)
+
+    def _blocks(self, elements: list, nu: int) -> list:
+        """(target, elements) per torus block that can add to m_nu.
+
+        A block is the span elements of one bidegree, in span order.  D^nu
+        maps it into one bidegree, whose base exponent pair is the block's
+        target, returned as an ambient exponent tuple.  A target with a
+        negative or fractional exponent is no base monomial, so every D^nu
+        image there is zero or escapes the base ring; such a block is left
+        out, unchecked.  Blocks come by ascending target under
+        ``monomial_key``.
+        """
+        w1, w2 = self._block_weights
+        s1, s2 = self._block_shift
+        blocks: dict = {}
+        for el in elements:
+            exps = next(iter(el.poly.terms))  # span elements are bihomogeneous
+            key = (sum(map(mul, exps, w1)), sum(map(mul, exps, w2)))
+            blocks.setdefault(key, []).append(el)
+        variables = self.ambient.variables
+        i1, i2 = (variables.index(n) for n in self.base_vars)
+        out = []
+        for (k1, k2), block in blocks.items():
+            t1, t2 = k1 + nu * s1, k2 + nu * s2
+            if t1 < 0 or t2 < 0 or int(t1) != t1 or int(t2) != t2:
+                continue
+            target = [0] * len(variables)
+            target[i1], target[i2] = int(t1), int(t2)
+            out.append((tuple(target), block))
+        out.sort(key=lambda entry: monomial_key(entry[0]))
+        return out
 
     def _base_monomials(self, degree: int):
         """(label, exponents, total degree) for base monomials up to degree."""
@@ -227,6 +312,42 @@ def subalgebra_contains(subalgebra: FilteredSubalgebra, f: Polynomial,
     return Member(combination, witness)
 
 
+_ESCAPES = ("graded image escapes the base ring; derivation kernel is larger "
+           "than the base variables")
+
+
+def _kernel_images(derivation: Derivation, nu: int, elements: list):
+    """D^nu of each kernel combination of D^(nu+1) on the elements, nonzero
+    ones only, in the order the echelon finds them.
+
+    Each element's D-chain is built when the loop reaches it, so a caller
+    that stops early differentiates no later element.
+    """
+    variables = derivation.ring.variables
+    apply = derivation.apply_terms
+    echelon = Echelon(variables)
+    level_images = []  # span index -> terms of D^nu of the element
+    for idx, el in enumerate(elements):
+        g = _integral(el.poly.terms)
+        for _ in range(nu):
+            if not g:
+                break
+            g = apply(g)
+        level_images.append(g)
+        top = apply(g)
+        if not top:
+            combo = {idx: Fraction(1)}
+        else:
+            combo = echelon.insert(_polynomial(variables, top), idx)
+            if combo is None:
+                continue
+        terms: dict = {}  # normal forms span normal forms
+        for i, c in combo.items():
+            add_terms(terms, level_images[i], c)
+        if terms:
+            yield _polynomial(variables, terms)
+
+
 def compute_m_nu(subalgebra: FilteredSubalgebra, nu: int,
                  truncation: TruncationParams, span: list | None = None) -> Ideal:
     """Ideal generated by D^nu of the truncated kernel of D^(nu+1).
@@ -235,45 +356,43 @@ def compute_m_nu(subalgebra: FilteredSubalgebra, nu: int,
     Complete only up to the truncation; enlarging it never shrinks the
     result.  ``span`` may hold ``truncated_span(subalgebra, truncation)``
     when the caller has built it already.
+
+    Without a torus the kernel of D^(nu+1) on the whole span gives one
+    generator per kernel combination with a nonzero image, made monic and
+    deduplicated.  With one, m_nu is a monomial ideal: each torus block
+    of the span adds its target base monomial exactly when D^(nu+1) has a
+    kernel combination there whose D^nu image is nonzero, so the same
+    kernel loop runs block by block, stops at the first such combination,
+    and skips every block whose target the monomials found so far divide.
+    The result is then the minimal monomial generators.  Either way the
+    generators are sorted by total degree, then by terms.
     """
     if nu < 0:
         raise InputError("filtration level must be nonnegative")
-    ambient = subalgebra.ambient
-    variables = ambient.variables
-    apply = subalgebra.derivation.apply_terms
     elements = truncated_span(subalgebra, truncation) if span is None else span
-    echelon = Echelon(variables)
-    level_images = {}  # span index -> terms of D^nu of the element
-    kernel_combos = []
-    for idx, el in enumerate(elements):
-        g = _integral(el.poly.terms)
-        for _ in range(nu):
-            if not g:
-                break
-            g = apply(g)
-        level_images[idx] = g
-        top = apply(g)
-        if not top:
-            kernel_combos.append({idx: Fraction(1)})
-            continue
-        combo = echelon.insert(_polynomial(variables, top), idx)
-        if combo is not None:
-            kernel_combos.append(combo)
-    gens = {}
-    for combo in kernel_combos:
-        terms: dict = {}  # normal forms span normal forms
-        for idx, c in combo.items():
-            add_terms(terms, level_images[idx], c)
-        image = _polynomial(variables, terms)
-        if image.is_zero():
-            continue
-        if not set(image.used_variables()) <= set(subalgebra.base_vars):
-            raise StructuralError(
-                "graded image escapes the base ring; derivation kernel is larger "
-                "than the base variables")
-        restricted = image.restrict(subalgebra.base_vars).monic()
-        gens[frozenset(restricted.terms.items())] = restricted
+    derivation = subalgebra.derivation
     base = tuple(subalgebra.base_vars)
+    if subalgebra.torus is None:
+        images = _kernel_images(derivation, nu, elements)
+    else:
+        images = []
+        found = []  # exponents of the targets added so far, ascending
+        for target, block in subalgebra._blocks(elements, nu):
+            if any(_divides(m, target) for m in found):
+                continue
+            image = next(_kernel_images(derivation, nu, block), None)
+            if image is None:
+                continue
+            if image.terms.keys() != {target}:
+                raise StructuralError(_ESCAPES)
+            found.append(target)
+            images.append(image)
+    gens = {}
+    for image in images:
+        if not set(image.used_variables()) <= set(base):
+            raise StructuralError(_ESCAPES)
+        restricted = image.restrict(base).monic()
+        gens[frozenset(restricted.terms.items())] = restricted
     ordered = sorted(gens.values(), key=lambda p: (p.total_degree(), sorted(p.terms)))
     if not ordered:
         return Ideal.zero(base)

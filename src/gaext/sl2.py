@@ -42,10 +42,20 @@ def sl2_derivation() -> Derivation:
     return Derivation(ring, {"u": ring.var("x"), "v": ring.var("y")})
 
 
+@lru_cache(maxsize=None)
+def sl2_torus() -> tuple:
+    """The 2-torus grading of O(SL2), w1 = (1,0,0,-1) and w2 = (0,1,-1,0)
+    on (x, y, u, v); D shifts it by (1, 1)."""
+    ring = sl2_ring()
+    return (Grading(ring, {"x": 1, "y": 0, "u": 0, "v": -1}),
+            Grading(ring, {"x": 0, "y": 1, "u": -1, "v": 0}))
+
+
 def sl2_subalgebra() -> FilteredSubalgebra:
     ring = sl2_ring()
     return FilteredSubalgebra(ring, sl2_derivation(), ("x", "y"),
-                              {"u": ring.var("u"), "v": ring.var("v")})
+                              {"u": ring.var("u"), "v": ring.var("v")},
+                              torus=sl2_torus())
 
 
 def base_power_ideal(k: int) -> Ideal:
@@ -156,7 +166,8 @@ def family1_subalgebra(n: int) -> FilteredSubalgebra:
     psi = family1_psi(n)
     gens = {name: img for name, img in psi.items()
             if name not in ("X0", "X1")}
-    return FilteredSubalgebra(ring, sl2_derivation(), ("x", "y"), gens)
+    return FilteredSubalgebra(ring, sl2_derivation(), ("x", "y"), gens,
+                              torus=sl2_torus())
 
 
 def family1_truncation(n: int, nu: int) -> TruncationParams:
@@ -262,7 +273,7 @@ def family2_subalgebra(p: int, q: int, degree: int) -> FilteredSubalgebra:
     gens = family2_nonnegative_generators(p, q, degree)
     gens.pop("1", None)
     return FilteredSubalgebra(sl2_ring(), sl2_derivation(), ("x", "y"), gens,
-                              module_spanning=True)
+                              module_spanning=True, torus=sl2_torus())
 
 
 def family2_truncation(p: int, q: int, nu: int) -> TruncationParams:

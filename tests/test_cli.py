@@ -92,7 +92,7 @@ def test_trunc_scale_env(capsys, monkeypatch):
     assert code == EXIT_PASS
     # the scaled degree bound 7 -> 10 appears in the graded-ideal check line
     assert "d=10" in out
-    for bad in ("-1", "nan", "inf"):
+    for bad in ("-1", "nan", "inf", "1e308"):
         monkeypatch.setenv("LND_TRUNC_SCALE", bad)
         code, _, _ = run(capsys, "verify", "family1", "--n", "1", "--nu-max", "1")
         assert code == EXIT_USAGE

@@ -1,0 +1,123 @@
+"""Torus blocks: m_nu read block by block equals the whole-span kernel path."""
+
+from dataclasses import replace
+from fractions import Fraction
+
+import pytest
+
+from gaext.derivation import Derivation, Grading
+from gaext.filtered import (FilteredSubalgebra, IdealSequence, SpanElement,
+                            TruncationParams, compute_m_nu, truncated_spans)
+from gaext.groebner import InputError, PresentedRing
+from gaext.poly import StructuralError, parse
+from gaext.sl2 import (family1_subalgebra, family1_truncation, family2_nonnegative_generators,
+                       family2_subalgebra, family2_truncation, sl2_derivation, sl2_ring,
+                       sl2_subalgebra, sl2_torus)
+
+
+def _without_torus(sub: FilteredSubalgebra) -> FilteredSubalgebra:
+    return FilteredSubalgebra(sub.ambient, sub.derivation, sub.base_vars,
+                              sub.generators, sub.module_spanning)
+
+
+def _family1(n):
+    return family1_subalgebra(n), [family1_truncation(n, nu) for nu in range(4)]
+
+
+def _family2(p, q):
+    truncations = [family2_truncation(p, q, nu) for nu in range(4)]
+    return family2_subalgebra(p, q, max(t.degree for t in truncations)), truncations
+
+
+def _sl2():
+    return sl2_subalgebra(), [TruncationParams(nu, 2 * nu + 2) for nu in range(5)]
+
+
+CASES = {
+    "family1-n1": lambda: _family1(1),
+    "family1-n2": lambda: _family1(2),
+    "family1-n3": lambda: _family1(3),
+    "family2-p1q1": lambda: _family2(1, 1),
+    "family2-p2q1": lambda: _family2(2, 1),
+    "family2-p3q2": lambda: _family2(3, 2),
+    "sl2": _sl2,
+}
+
+# the bounds a suite applies under no flag, --trunc-deg 4 and --trunc-len 1
+BOUNDS = {
+    "as-is": lambda t: t,
+    "deg4": lambda t: replace(t, degree=4),
+    "len1": lambda t: replace(t, word_length=1),
+}
+
+
+@pytest.mark.parametrize("bounds", sorted(BOUNDS))
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_block_path_equals_kernel_path(case, bounds):
+    sub, truncations = CASES[case]()
+    assert sub.torus is not None
+    plain = _without_torus(sub)
+    truncations = [BOUNDS[bounds](t) for t in truncations]
+    spans = truncated_spans(sub, truncations)
+    for nu, (trunc, span) in enumerate(zip(truncations, spans)):
+        blocks = compute_m_nu(sub, nu, trunc, span)
+        kernel = compute_m_nu(plain, nu, trunc, span)
+        assert blocks.equals(kernel)
+        minimal = sorted(kernel.minimal_monomial_generators(), key=lambda e: (sum(e), e))
+        assert [g.terms for g in blocks.generators] == [{e: Fraction(1)} for e in minimal]
+
+
+def test_torus_is_checked_at_construction():
+    ring = sl2_ring()
+    derivation = sl2_derivation()
+    u, x = ring.var("u"), ring.var("x")
+    with pytest.raises(InputError, match="generator mixed"):
+        FilteredSubalgebra(ring, derivation, ("x", "y"), {"mixed": u + x}, torus=sl2_torus())
+    # every grading that keeps x*v - y*u - 1 homogeneous keeps this D
+    # homogeneous too, so take the free ring: there D(u) = x moves the first
+    # weight below by 1 but D(v) = y moves it by 2
+    free = PresentedRing(ring.variables)
+    free_d = Derivation(free, {"u": free.var("x"), "v": free.var("y")})
+    skewed = (Grading(free, {"x": 1, "y": 0, "u": 0, "v": -2}),
+              Grading(free, {"x": 0, "y": 1, "u": -1, "v": 0}))
+    with pytest.raises(InputError, match="derivation"):
+        FilteredSubalgebra(free, free_d, ("x", "y"), {"u": free.var("u")}, torus=skewed)
+    doubled = (sl2_torus()[0], sl2_torus()[0])
+    with pytest.raises(InputError, match="dependent"):
+        FilteredSubalgebra(ring, derivation, ("x", "y"), {"u": u}, torus=doubled)
+    with pytest.raises(InputError, match="two gradings"):
+        FilteredSubalgebra(ring, derivation, ("x", "y"), {"u": u}, torus=sl2_torus()[:1])
+    # without a torus the same generator is accepted, and kept on the kernel path
+    assert FilteredSubalgebra(ring, derivation, ("x", "y"), {"mixed": u + x}).torus is None
+
+
+def test_block_path_skips_covered_blocks():
+    """Family 2 at (3, 2), levels 0..3, on a fresh table each way: the block
+    path differentiates only the few blocks it visits."""
+    ring = sl2_ring()
+    rows = []
+    for torus in (sl2_torus(), None):
+        fresh = Derivation(ring, {"u": ring.var("x"), "v": ring.var("y")})
+        truncations = [family2_truncation(3, 2, nu) for nu in range(4)]
+        gens = family2_nonnegative_generators(3, 2, truncations[-1].degree)
+        gens.pop("1")
+        sub = FilteredSubalgebra(ring, fresh, ("x", "y"), gens, module_spanning=True,
+                                 torus=torus)
+        IdealSequence.compute(sub, truncations)
+        rows.append(len(fresh._rows))
+    blocks, kernel = rows
+    assert blocks * 20 < kernel  # 46 and 7 518 rows
+
+
+def test_block_path_rejects_an_image_off_its_target():
+    """A caller's span element that is not bihomogeneous has a D^nu image
+    off its block's base monomial: an error on the block path, where the
+    kernel path keeps the image as a generator."""
+    sub = sl2_subalgebra()
+    ring = sub.ambient
+    mixed = [SpanElement("u*y+v", ring.var("u") * ring.var("y") + ring.var("v"))]
+    trunc = TruncationParams(1, 2)
+    with pytest.raises(StructuralError, match="escapes the base ring"):
+        compute_m_nu(sub, 1, trunc, mixed)
+    kernel = compute_m_nu(_without_torus(sub), 1, trunc, mixed)
+    assert kernel.generators == [parse("x*y + y", ("x", "y"))]
