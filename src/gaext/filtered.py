@@ -9,29 +9,33 @@ the recorded truncation — sound always, complete only within the bounds.
 
 ``IdealSequence.compute(subalgebra, truncations)`` is the one builder of a
 graded sequence: it takes one ``TruncationParams`` per level (the list
-index is nu), builds every level's span in one pass, computes each m_nu
-once, and keeps the per-level bounds in ``IdealSequence.truncations`` so
-every check can report its own level's.
+index is nu), enumerates every level's span candidates in one pass,
+computes each m_nu once, and keeps the per-level bounds in
+``IdealSequence.truncations`` so every check can report its own level's.
 
 A subalgebra may declare a 2-torus grading under which its relations,
 generators and derivation are homogeneous and its two base variables have
 independent weights, as O(SL2) and its subalgebras do.  Every span element
 then lies in one torus block, each block's D^nu images are multiples of one
 base monomial, and ``compute_m_nu`` reads m_nu off the blocks one at a
-time, skipping each block whose monomial it has already covered.  Without
-a torus it takes the kernel of D^(nu+1) on the whole span.
+time, skipping each block whose monomial it has already covered.  A
+candidate's block is known from exponents before its product is formed,
+so a sequence builds only the blocks m_nu visits: it multiplies,
+normal-forms and sorts no candidate of a skipped block.  Without a torus
+the whole span is one block, and m_nu is the kernel of D^(nu+1) on it.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from operator import itemgetter, mul
 from typing import Sequence
 
 from .derivation import Derivation, Grading, _integral, _polynomial, homogeneity_degree
-from .groebner import Ideal, InputError, PresentedRing, _divides
+from .groebner import Ideal, InputError, PresentedRing
 from .linalg import Echelon
 from .poly import Polynomial, StructuralError, add_terms, monomial_key, monomial_label
 from .report import Member, Report, Undecided
@@ -108,7 +112,10 @@ class FilteredSubalgebra:
         self.generators = gens
         self.module_spanning = bool(module_spanning)
         self.torus = None if torus is None else tuple(torus)
-        if self.torus is not None:
+        if self.torus is None:
+            # every bidegree is (0, 0): the whole span is one block
+            self._block_weights = ((0,) * len(ambient.variables),) * 2
+        else:
             self._block_weights, self._block_shift = self._torus_coordinates()
 
     def _torus_coordinates(self) -> tuple:
@@ -146,44 +153,51 @@ class FilteredSubalgebra:
                 raise InputError(f"generator {label} is not homogeneous for the torus")
         return (w1, w2), solve(*shift)
 
-    def _blocks(self, elements: list, nu: int) -> list:
-        """(target, elements) per torus block that can add to m_nu.
-
-        A block is the span elements of one bidegree, in span order.  D^nu
-        maps it into one bidegree, whose base exponent pair is the block's
-        target, returned as an ambient exponent tuple.  A target with a
-        negative or fractional exponent is no base monomial, so every D^nu
-        image there is zero or escapes the base ring; such a block is left
-        out, unchecked.  Blocks come by ascending target under
-        ``monomial_key``.
-        """
+    def _bidegree(self, exps: tuple) -> tuple:
+        """The torus block of an ambient exponent tuple, as base exponents."""
         w1, w2 = self._block_weights
-        s1, s2 = self._block_shift
+        return (sum(map(mul, exps, w1)), sum(map(mul, exps, w2)))
+
+    def _group(self, elements: list) -> dict:
+        """A caller's spanning list by torus block, each block in list order."""
         blocks: dict = {}
         for el in elements:
-            exps = next(iter(el.poly.terms))  # span elements are bihomogeneous
-            key = (sum(map(mul, exps, w1)), sum(map(mul, exps, w2)))
-            blocks.setdefault(key, []).append(el)
+            # span elements are bihomogeneous
+            blocks.setdefault(self._bidegree(next(iter(el.poly.terms))), []).append(el)
+        return blocks
+
+    def _blocks(self, keys, nu: int) -> list:
+        """((a, b), target, key) per torus block that can add to m_nu.
+
+        D^nu maps the block of bidegree ``key`` into one bidegree, whose
+        base exponent pair (a, b) is the block's target, also returned as an
+        ambient exponent tuple.  A target with a negative or fractional
+        exponent is no base monomial, so every D^nu image there is zero or
+        escapes the base ring; such a block is left out, unchecked.  Blocks
+        come by ascending target under ``monomial_key``.
+        """
+        s1, s2 = self._block_shift
         variables = self.ambient.variables
         i1, i2 = (variables.index(n) for n in self.base_vars)
         out = []
-        for (k1, k2), block in blocks.items():
-            t1, t2 = k1 + nu * s1, k2 + nu * s2
+        for key in keys:
+            t1, t2 = key[0] + nu * s1, key[1] + nu * s2
             if t1 < 0 or t2 < 0 or int(t1) != t1 or int(t2) != t2:
                 continue
+            t1, t2 = int(t1), int(t2)
             target = [0] * len(variables)
-            target[i1], target[i2] = int(t1), int(t2)
-            out.append((tuple(target), block))
-        out.sort(key=lambda entry: monomial_key(entry[0]))
+            target[i1], target[i2] = t1, t2
+            out.append(((t1, t2), tuple(target), key))
+        out.sort(key=lambda entry: monomial_key(entry[1]))
         return out
 
     def _base_monomials(self, degree: int):
         """(label, exponents, total degree) for base monomials up to degree."""
+        variables = self.ambient.variables
         if self.module_spanning:
             # the generator list already holds every base-monomial multiple
-            yield ("1", None, 0)
+            yield ("1", (0,) * len(variables), 0)
             return
-        variables = self.ambient.variables
         idx = [variables.index(v) for v in self.base_vars]
         for total in range(degree + 1):
             for combo in itertools.combinations_with_replacement(idx, total):
@@ -221,10 +235,123 @@ class FilteredSubalgebra:
                             longer.append((combo + (j,), prod, max(peak, deg)))
                 layer = longer
             for combo, poly, peak in layer:
-                used = sorted(set(combo))
-                label = monomial_label(map(labels.__getitem__, used), map(combo.count, used))
+                if ell == 1:  # a generator names its own one-letter word
+                    label = labels[combo[0]]
+                else:
+                    used = sorted(set(combo))
+                    label = monomial_label(map(labels.__getitem__, used), map(combo.count, used))
                 out.append((label, poly, ell, peak))
         return out
+
+
+class _Candidates:
+    """The span candidates of several truncations, enumerated once and filed
+    by torus block.
+
+    A candidate is a base monomial times a generator word, enumerated
+    base-monomial-major, word-minor, at the largest bounds, and kept if some
+    truncation (L, d) admits its word length and the degrees of its base
+    monomial and word prefixes.  Its block is the base monomial's bidegree
+    plus the word's, read off the word's first term since words are
+    bihomogeneous normal forms, so it is known before the product is
+    formed.  ``build`` forms a block's products when a level first reads
+    it, normal-forming each candidate at most once for all truncations.
+    """
+
+    def __init__(self, subalgebra: FilteredSubalgebra,
+                 truncations: Sequence[TruncationParams]):
+        self.ambient = subalgebra.ambient
+        self.bounds = [(t.word_length, t.degree) for t in truncations]
+        top_degree = max(d for _, d in self.bounds)
+        words = subalgebra._words(max(L for L, _ in self.bounds), top_degree)
+        # the largest degree bound of a truncation that admits each word length
+        caps = [max((d for L, d in self.bounds if L >= length), default=-1)
+                for length in range(max(w[2] for w in words) + 1)]
+        bidegree = subalgebra._bidegree
+        words = [w + bidegree(next(iter(w[1].terms))) for w in words]
+        self.blocks: dict = {}  # bidegree -> candidates, in enumeration order
+        self._products: dict = {}  # raw product -> its normal form
+        for mlab, mono, mdeg in subalgebra._base_monomials(top_degree):
+            m1, m2 = bidegree(mono)
+            for wlab, word, length, peak, w1, w2 in words:
+                reach = max(mdeg, peak)
+                if reach > caps[length]:
+                    continue
+                # the last slot caches the built product
+                self.blocks.setdefault((m1 + w1, m2 + w2), []).append(
+                    [mlab, mono if mdeg else None, wlab, word, length, reach, None])
+
+    def build(self, key, level: int) -> list:
+        """(sort key, element) for the span elements of one block at
+        truncations[level], unordered.
+
+        A product of total degree above d is left out, and of scalar
+        duplicates the first candidate stays.  Scalar multiples share a
+        leading monomial, hence a block, so the block holds every duplicate
+        of its elements.
+        """
+        L, d = self.bounds[level]
+        seen = {}  # canonical form -> entry
+        for cand in self.blocks[key]:
+            mlab, mono, wlab, word, length, reach, built = cand
+            if length > L or reach > d:
+                continue
+            if built is None:
+                if mono is None:  # words are normal forms already
+                    poly = word
+                else:
+                    # x*(y^2*u + y) and y*(x*y*u + x) are one raw product
+                    raw = word.times_monomial(mono)
+                    poly = self._products.get(raw)
+                    if poly is None:
+                        poly = self._products[raw] = self.ambient.normal_form(raw)
+                built = cand[-1] = _span_entry(mlab, wlab, poly)
+            if not built:  # a zero product
+                continue
+            deg, canon, entry = built
+            if deg <= d and canon not in seen:
+                seen[canon] = entry
+        return list(seen.values())
+
+
+def _span_entry(mlab: str, wlab: str, poly: Polynomial) -> tuple:
+    """(degree, canonical form, (sort key, element)) of a nonzero product,
+    else ()."""
+    if poly.is_zero():
+        return ()
+    lead = max(poly.terms, key=monomial_key)
+    c = poly.terms[lead]
+    # scalar multiples share a lead, so dividing by its coefficient
+    # makes one key per scalar class
+    canon = frozenset(poly.terms.items() if c == 1
+                      else ((e, k / c) for e, k in poly.terms.items()))
+    if mlab == "1":
+        label = wlab
+    elif wlab == "1":
+        label = mlab
+    else:
+        label = f"{mlab}*{wlab}"
+    deg = poly.total_degree()
+    return deg, canon, ((deg, monomial_key(lead), label), SpanElement(label, poly))
+
+
+class _Level(Mapping):
+    """One truncation's span as a mapping from torus block to its elements
+    in span order; a block is built only when it is read."""
+
+    def __init__(self, candidates: _Candidates, level: int):
+        self._candidates = candidates
+        self._level = level
+
+    def __getitem__(self, key) -> list:
+        return [el for _, el in sorted(self._candidates.build(key, self._level),
+                                       key=itemgetter(0))]
+
+    def __iter__(self):
+        return iter(self._candidates.blocks)
+
+    def __len__(self):
+        return len(self._candidates.blocks)
 
 
 def truncated_spans(subalgebra: FilteredSubalgebra,
@@ -239,50 +366,16 @@ def truncated_spans(subalgebra: FilteredSubalgebra,
     total degree, then by leading monomial under ``monomial_key``, then
     by label.  Words and base monomials are enumerated once, at the largest
     bounds, and each product is normal-formed once for all truncations.
+    This builds every torus block; ``IdealSequence.compute`` builds only
+    the blocks ``compute_m_nu`` visits.
     """
     truncations = tuple(truncations)
     if not truncations:
         return []
-    ambient = subalgebra.ambient
-    bounds = [(t.word_length, t.degree) for t in truncations]
-    top_degree = max(d for _, d in bounds)
-    words = subalgebra._words(max(L for L, _ in bounds), top_degree)
-    seen = [{} for _ in truncations]  # per truncation: canonical form -> entry
-    for mlab, mono, mdeg in subalgebra._base_monomials(top_degree):
-        for wlab, word, length, peak in words:
-            reach = max(mdeg, peak)
-            if not any(length <= L and reach <= d for L, d in bounds):
-                continue
-            # words are normal forms already
-            poly = word if mdeg == 0 else ambient.normal_form(word.times_monomial(mono))
-            if poly.is_zero():
-                continue
-            deg = poly.total_degree()
-            reach = max(reach, deg)
-            levels = [s for (L, d), s in zip(bounds, seen) if length <= L and reach <= d]
-            if not levels:
-                continue
-            lead = max(poly.terms, key=monomial_key)
-            c = poly.terms[lead]
-            # scalar multiples share a lead, so dividing by its coefficient
-            # makes one key per scalar class
-            canon = frozenset(poly.terms.items() if c == 1
-                              else ((e, k / c) for e, k in poly.terms.items()))
-            entry = None
-            for level in levels:
-                if canon in level:
-                    continue
-                if entry is None:
-                    if mlab == "1":
-                        label = wlab
-                    elif wlab == "1":
-                        label = mlab
-                    else:
-                        label = f"{mlab}*{wlab}"
-                    entry = ((deg, monomial_key(lead), label), SpanElement(label, poly))
-                level[canon] = entry
-    return [[el for _, el in sorted(level.values(), key=lambda entry: entry[0])]
-            for level in seen]
+    candidates = _Candidates(subalgebra, truncations)
+    return [[el for _, el in sorted(itertools.chain.from_iterable(
+                candidates.build(key, level) for key in candidates.blocks), key=itemgetter(0))]
+            for level in range(len(truncations))]
 
 
 def truncated_span(subalgebra: FilteredSubalgebra,
@@ -349,13 +442,15 @@ def _kernel_images(derivation: Derivation, nu: int, elements: list):
 
 
 def compute_m_nu(subalgebra: FilteredSubalgebra, nu: int,
-                 truncation: TruncationParams, span: list | None = None) -> Ideal:
+                 truncation: TruncationParams,
+                 span: list | Mapping | None = None) -> Ideal:
     """Ideal generated by D^nu of the truncated kernel of D^(nu+1).
 
     Sound: every generator genuinely lies in the level-nu graded ideal.
     Complete only up to the truncation; enlarging it never shrinks the
     result.  ``span`` may hold ``truncated_span(subalgebra, truncation)``
-    when the caller has built it already.
+    when the caller has built it already; ``IdealSequence.compute`` passes
+    its level's span by torus block instead, built as it is read.
 
     Without a torus the kernel of D^(nu+1) on the whole span gives one
     generator per kernel combination with a nonzero image, made monic and
@@ -364,28 +459,33 @@ def compute_m_nu(subalgebra: FilteredSubalgebra, nu: int,
     kernel combination there whose D^nu image is nonzero, so the same
     kernel loop runs block by block, stops at the first such combination,
     and skips every block whose target the monomials found so far divide.
-    The result is then the minimal monomial generators.  Either way the
-    generators are sorted by total degree, then by terms.
+    A block left out is never built, so with no ``span`` given only the
+    visited blocks' products are formed.  The result is then the minimal
+    monomial generators.  Either way the generators are sorted by total
+    degree, then by terms.
     """
     if nu < 0:
         raise InputError("filtration level must be nonnegative")
-    elements = truncated_span(subalgebra, truncation) if span is None else span
+    if span is None:
+        span = _Level(_Candidates(subalgebra, [truncation]), 0)
+    blocks = span if isinstance(span, Mapping) else subalgebra._group(span)
     derivation = subalgebra.derivation
     base = tuple(subalgebra.base_vars)
-    if subalgebra.torus is None:
-        images = _kernel_images(derivation, nu, elements)
+    if subalgebra.torus is None:  # one block: the whole span
+        images = [image for block in blocks.values()
+                  for image in _kernel_images(derivation, nu, block)]
     else:
         images = []
-        found = []  # exponents of the targets added so far, ascending
-        for target, block in subalgebra._blocks(elements, nu):
-            if any(_divides(m, target) for m in found):
+        found = []  # base exponent pairs of the targets added so far
+        for (a, b), target, key in subalgebra._blocks(blocks, nu):
+            if any(fa <= a and fb <= b for fa, fb in found):
                 continue
-            image = next(_kernel_images(derivation, nu, block), None)
+            image = next(_kernel_images(derivation, nu, blocks[key]), None)
             if image is None:
                 continue
             if image.terms.keys() != {target}:
                 raise StructuralError(_ESCAPES)
-            found.append(target)
+            found.append((a, b))
             images.append(image)
     gens = {}
     for image in images:
@@ -413,9 +513,9 @@ class IdealSequence:
         truncations = tuple(truncations)
         if not truncations:
             raise InputError("an ideal sequence needs at least level 0")
-        spans = truncated_spans(subalgebra, truncations)
-        ideals = [compute_m_nu(subalgebra, nu, trunc, span)
-                  for nu, (trunc, span) in enumerate(zip(truncations, spans))]
+        candidates = _Candidates(subalgebra, truncations)
+        ideals = [compute_m_nu(subalgebra, nu, trunc, _Level(candidates, nu))
+                  for nu, trunc in enumerate(truncations)]
         return cls(subalgebra, truncations, ideals)
 
     def __getitem__(self, nu: int) -> Ideal:

@@ -1,5 +1,6 @@
 """Truncated spans, membership certificates, graded ideal sequences."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -14,7 +15,7 @@ from gaext.filtered import (FilteredSubalgebra, IdealSequence, TruncationParams,
                             truncated_spans, verify_sequence_axioms)
 from gaext.groebner import Ideal, InputError, PresentedRing
 from gaext.linalg import Echelon
-from gaext.poly import Polynomial, monomial_key, parse
+from gaext.poly import Polynomial, StructuralError, monomial_key, parse
 from gaext.report import PASS, Member, Undecided
 from gaext.sl2 import (base_power_ideal, family1_derivation, family1_subalgebra,
                        family1_truncation, family2_subalgebra, family2_truncation,
@@ -141,10 +142,37 @@ def test_one_pass_spans_match_per_level_spans(name):
         assert [(e.label, e.poly) for e in span] == _reference_span(sub, trunc), trunc
 
 
-def test_each_product_is_normal_formed_once_per_sequence(monkeypatch):
-    sub = family1_subalgebra(1)
-    top = TruncationParams(2, 12)
-    IdealSequence.compute(sub, [top] * 3)  # fills the derivation table
+def _ideals_or_error(levels) -> list | str:
+    """Each level's generators, or the message of the first level that fails."""
+    out = []
+    for level in levels:
+        try:
+            out.append(level().generators)
+        except StructuralError as exc:
+            return str(exc)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(SPAN_SEQUENCES))
+def test_lazy_blocks_match_eager_spans(name):
+    """The sequence, which builds only the blocks m_nu visits, and m_nu on
+    its own give m_nu on the fully built span, generator for generator."""
+    sub, truncations = SPAN_SEQUENCES[name]()
+    spans = truncated_spans(sub, truncations)
+    eager = _ideals_or_error(
+        functools.partial(compute_m_nu, sub, nu, trunc, span)
+        for nu, (trunc, span) in enumerate(zip(truncations, spans)))
+    alone = _ideals_or_error(functools.partial(compute_m_nu, sub, nu, trunc)
+                             for nu, trunc in enumerate(truncations))
+    try:
+        sequence = [m.generators for m in IdealSequence.compute(sub, truncations).ideals]
+    except StructuralError as exc:
+        sequence = str(exc)
+    assert alone == eager
+    assert sequence == eager
+
+
+def _normal_form_calls(monkeypatch, sub, build) -> list:
     calls = []
     original = PresentedRing.normal_form
 
@@ -153,12 +181,27 @@ def test_each_product_is_normal_formed_once_per_sequence(monkeypatch):
             calls.append(f)
         return original(ring, f)
 
-    monkeypatch.setattr(PresentedRing, "normal_form", counting)
-    IdealSequence.compute(sub, [top] * 3)
-    per_sequence = len(calls)
-    calls.clear()
-    truncated_span(sub, top)
-    assert per_sequence == len(calls) > 0  # three per-level spans made 3x as many
+    with monkeypatch.context() as patch:
+        patch.setattr(PresentedRing, "normal_form", counting)
+        build()
+    return calls
+
+
+def test_each_product_is_normal_formed_once_per_sequence(monkeypatch):
+    sub = family1_subalgebra(1)
+    plain = FilteredSubalgebra(sub.ambient, sub.derivation, sub.base_vars, sub.generators)
+    top = TruncationParams(2, 12)
+    for warm in (sub, plain):
+        IdealSequence.compute(warm, [top] * 3)  # fills the derivation table
+    per_sequence = _normal_form_calls(monkeypatch, sub,
+                                      lambda: IdealSequence.compute(sub, [top] * 3))
+    eager = _normal_form_calls(monkeypatch, sub, lambda: truncated_span(sub, top))
+    assert len(set(per_sequence)) == len(per_sequence) > 0
+    assert len(per_sequence) < len(eager)  # only the visited torus blocks are built
+    # without a torus every block is visited: three levels cost one span
+    per_sequence = _normal_form_calls(monkeypatch, plain,
+                                      lambda: IdealSequence.compute(plain, [top] * 3))
+    assert len(per_sequence) == len(eager)
 
 
 def test_subalgebra_contains_witness_is_exact():

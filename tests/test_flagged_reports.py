@@ -4,8 +4,8 @@ Each expected file under tests/flagged/ pins how flags, the scale and each
 suite's default bounds combine, and what a truncated shortfall prints.  One
 more file pins a deep run at default bounds, family 1 up to nu = 5, whose
 spans normal-form products up to the fifth power of the SL2 relation's tail,
-and another family 2 at weights (3, 2) up to nu = 5, whose top span holds
-tens of thousands of elements.
+another the same at n = 3, and another family 2 at weights (3, 2) up to
+nu = 5, whose top span holds tens of thousands of elements.
 """
 
 import pathlib
@@ -45,6 +45,10 @@ CASES = {
     # default bounds, deep: levels 0..5 of family 1
     "family1-n1-nu5": (
         None, ("verify", "family1", "--n", "1", "--nu-max", "5"), EXIT_PASS),
+    # default bounds, deep: levels 0..5 of family 1 at n = 3, where the
+    # torus path leaves the most blocks unbuilt
+    "family1-n3-nu5": (
+        None, ("verify", "family1", "--n", "3", "--nu-max", "5"), EXIT_PASS),
     # default bounds, deep: levels 0..5 of family 2 at weights (3, 2)
     "family2-p3q2-nu5": (
         None, ("verify", "family2", "--p", "3", "--q", "2", "--nu-max", "5"), EXIT_PASS),

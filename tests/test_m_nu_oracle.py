@@ -5,8 +5,10 @@ applies D = x*d/du + y*d/dv by sympy differentiation, normal-forms with
 ``sympy.reduced`` modulo x*v - y*u - 1 under grlex, and reads the kernel of
 D^(nu+1) off ``Matrix.nullspace``.  The ideal of the D^nu images of that
 kernel must equal ``compute_m_nu`` on both paths: block by block under the
-torus of O(SL2), and by whole-span kernel combinations without it.  It
-shares no code with ``Derivation``, ``Echelon`` or ``add_terms``.
+torus of O(SL2), and by whole-span kernel combinations without it.  So must
+each level of ``IdealSequence.compute``, which builds only the blocks it
+visits.  The oracle shares no code with ``Derivation``, ``Echelon`` or
+``add_terms``.
 """
 
 from fractions import Fraction
@@ -15,8 +17,8 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from gaext.filtered import (FilteredSubalgebra, TruncationParams,  # noqa: E402
-                            compute_m_nu, truncated_spans)
+from gaext.filtered import (FilteredSubalgebra, IdealSequence,  # noqa: E402
+                            TruncationParams, compute_m_nu, truncated_spans)
 from gaext.groebner import Ideal  # noqa: E402
 from gaext.poly import Polynomial  # noqa: E402
 from gaext.sl2 import (family1_subalgebra, family1_truncation,  # noqa: E402
@@ -82,7 +84,9 @@ def test_m_nu_matches_the_sympy_oracle(case):
     plain = FilteredSubalgebra(sub.ambient, sub.derivation, sub.base_vars,
                                sub.generators, sub.module_spanning)
     spans = truncated_spans(sub, truncations)
+    sequence = IdealSequence.compute(sub, truncations)
     for nu, (trunc, span) in enumerate(zip(truncations, spans)):
         expected = _oracle(span, nu)
         assert compute_m_nu(sub, nu, trunc, span).equals(expected)
         assert compute_m_nu(plain, nu, trunc, span).equals(expected)
+        assert sequence[nu].equals(expected)

@@ -109,6 +109,28 @@ def test_block_path_skips_covered_blocks():
     assert blocks * 20 < kernel  # 46 and 7 518 rows
 
 
+def test_family1_builds_only_visited_blocks(monkeypatch):
+    """Family 1 at n = 1, levels 0..3, on a fresh table: the sequence
+    normal-forms the products of the blocks it visits and their D rows,
+    where building every span candidate takes about 3 700 normal forms."""
+    ring = sl2_ring()
+    fresh = Derivation(ring, {"u": ring.var("x"), "v": ring.var("y")})
+    family = family1_subalgebra(1)
+    sub = FilteredSubalgebra(ring, fresh, family.base_vars, family.generators,
+                             torus=sl2_torus())
+    calls = []
+    original = PresentedRing.normal_form
+
+    def counting(self, f):
+        if self is ring:
+            calls.append(f)
+        return original(self, f)
+
+    monkeypatch.setattr(PresentedRing, "normal_form", counting)
+    IdealSequence.compute(sub, [family1_truncation(1, nu) for nu in range(4)])
+    assert 0 < len(calls) < 300
+
+
 def test_block_path_rejects_an_image_off_its_target():
     """A caller's span element that is not bihomogeneous has a D^nu image
     off its block's base monomial: an error on the block path, where the
