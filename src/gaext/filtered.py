@@ -23,6 +23,12 @@ candidate's block is known from exponents before its product is formed,
 so a sequence builds only the blocks m_nu visits: it multiplies,
 normal-forms and sorts no candidate of a skipped block.  Without a torus
 the whole span is one block, and m_nu is the kernel of D^(nu+1) on it.
+
+Generators that are monic monomials, as family two's are, may come as
+exponent tuples (``MonomialGenerators``).  Construction then checks each
+tuple for a normal form without building it, a module-spanning span files
+each generator by the block its exponents name, and only the generators of
+visited blocks get a label and a polynomial.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter, mul
+from operator import itemgetter, le, mul
 from typing import Sequence
 
 from .derivation import Derivation, Grading, _integral, _polynomial, homogeneity_degree
@@ -71,6 +77,61 @@ class SpanElement:
     poly: Polynomial
 
 
+class MonomialGenerators(Mapping):
+    """Monic monomial generators given by exponent tuples, read as a mapping
+    from label to ``Polynomial`` in the order of the tuples.
+
+    A tuple's ``monomial_label`` and polynomial are built only when its
+    entry is read, so a subalgebra can file thousands of such generators by
+    torus block and build only those of the blocks it visits.
+    """
+
+    def __init__(self, variables: Sequence[str], exponents):
+        self.variables = tuple(variables)
+        self.exponents = tuple(exponents)
+        self._by_label = None  # label -> exponents, made on the first lookup
+
+    def entry(self, exps: tuple) -> tuple:
+        """(label, polynomial) of one exponent tuple."""
+        return (monomial_label(self.variables, exps),
+                Polynomial._of(self.variables, {exps: Fraction(1)}))
+
+    def __getitem__(self, label: str) -> Polynomial:
+        if self._by_label is None:
+            self._by_label = {monomial_label(self.variables, e): e for e in self.exponents}
+        return self.entry(self._by_label[label])[1]
+
+    def __iter__(self):
+        return (monomial_label(self.variables, e) for e in self.exponents)
+
+    def __len__(self):
+        return len(self.exponents)
+
+
+def _check_normal_monomials(ambient: PresentedRing, generators: MonomialGenerators):
+    """Raise ``InputError`` unless every exponent tuple is distinct and names
+    a nonconstant monomial of the ambient ring that no leading monomial of
+    its relation basis divides, that is, a nonzero normal form."""
+    if generators.variables != ambient.variables:
+        raise StructuralError("generators outside the ring's variables")
+    n = len(ambient.variables)
+    exps = generators.exponents
+    if not set(map(type, itertools.chain.from_iterable(exps))) <= {int}:
+        raise InputError("generator exponents must be integers")
+    leads = [g.leading_term()[0] for g in ambient.relation_ideal.groebner_basis()]
+    for e in exps:
+        if len(e) != n or min(e, default=0) < 0:
+            raise InputError(f"generator exponents {e} are not {n} natural numbers")
+        if not any(e):
+            raise InputError("the monomial 1 is not a generator")
+        for lead in leads:
+            if all(map(le, lead, e)):
+                raise InputError(f"generator {monomial_label(ambient.variables, e)} "
+                                 "is not a normal form")
+    if len(set(exps)) != len(exps):
+        raise InputError("a generator is repeated")
+
+
 class FilteredSubalgebra:
     """Finitely generated subalgebra of a presented ring, with derivation.
 
@@ -87,10 +148,15 @@ class FilteredSubalgebra:
     both and the two base variables' weights are independent.  Since the
     ring's products and normal forms keep both degrees, every span element
     is then bihomogeneous, and ``compute_m_nu`` works block by block.
+
+    ``generators`` maps labels to polynomials, which are normal-formed, or
+    is a ``MonomialGenerators``, whose exponent tuples must each name a
+    nonconstant monomial that is already a normal form; it is kept as
+    given, and no generator of it is built until a span reads it.
     """
 
     def __init__(self, ambient: PresentedRing, derivation: Derivation,
-                 base_vars: Sequence[str], generators: dict,
+                 base_vars: Sequence[str], generators: Mapping,
                  module_spanning: bool = False,
                  torus: Sequence[Grading] | None = None):
         if derivation.ring is not ambient:
@@ -103,12 +169,16 @@ class FilteredSubalgebra:
                 raise StructuralError(f"unknown base variable {name}")
             if not derivation.images[name].is_zero():
                 raise InputError(f"base variable {name} is not a constant of the derivation")
-        gens = {}
-        for label, g in generators.items():
-            nf = ambient.normal_form(g)
-            if nf.is_zero():
-                raise InputError(f"generator {label} is zero")
-            gens[label] = nf
+        if isinstance(generators, MonomialGenerators):
+            _check_normal_monomials(ambient, generators)
+            gens = generators
+        else:
+            gens = {}
+            for label, g in generators.items():
+                nf = ambient.normal_form(g)
+                if nf.is_zero():
+                    raise InputError(f"generator {label} is zero")
+                gens[label] = nf
         self.generators = gens
         self.module_spanning = bool(module_spanning)
         self.torus = None if torus is None else tuple(torus)
@@ -147,6 +217,8 @@ class FilteredSubalgebra:
             return tuple(e.numerator if e.denominator == 1 else e for e in pair)
         columns = [solve(*(w.weights[n] for w in self.torus)) for n in self.ambient.variables]
         w1, w2 = tuple(zip(*columns))
+        if isinstance(self.generators, MonomialGenerators):
+            return (w1, w2), solve(*shift)  # a monomial is bihomogeneous
         for label, g in self.generators.items():
             if len(g.terms) > 1 and len({(sum(map(mul, e, w1)), sum(map(mul, e, w2)))
                                          for e in g.terms}) > 1:
@@ -206,14 +278,16 @@ class FilteredSubalgebra:
                     exps[i] += 1
                 yield (monomial_label(variables, exps), tuple(exps), total)
 
-    def _words(self, length: int, degree: int) -> list:
+    def _words(self, length: int, degree: int, products: dict) -> list:
         """(label, product, length, peak) for nonzero generator words.
 
         A word is a multiset of at most ``length`` generators whose every
         prefix, in sorted label order, has total degree at most ``degree``;
         peak is the largest such prefix degree.  Each word of length k is its
-        (k-1)-prefix times one more generator, so it is normal-formed once.
-        Words come in order of length, then of sorted label tuple.
+        (k-1)-prefix times one more generator, whose raw product is looked
+        up in ``products`` (see ``_normal_form_once``) and normal-formed
+        only if it is not there yet.  Words come in order of length, then of
+        sorted label tuple.
         """
         if self.module_spanning:
             length = min(length, 1)
@@ -229,7 +303,9 @@ class FilteredSubalgebra:
                 longer = []
                 for combo, poly, peak in layer:
                     for j in range(combo[-1], len(gens)):
-                        prod = self.ambient.normal_form(poly * gens[j])
+                        # distinct words can share a raw product, as family one's
+                        # Y0*Y2 and Y1^2 do
+                        prod = _normal_form_once(self.ambient, poly * gens[j], products)
                         deg = prod.total_degree()
                         if 0 <= deg <= degree:  # the zero polynomial has degree -1
                             longer.append((combo + (j,), prod, max(peak, deg)))
@@ -256,21 +332,38 @@ class _Candidates:
     bihomogeneous normal forms, so it is known before the product is
     formed.  ``build`` forms a block's products when a level first reads
     it, normal-forming each candidate at most once for all truncations.
+
+    A module-spanning subalgebra with ``MonomialGenerators`` has one base
+    monomial, 1, and words of at most one letter, so a candidate is 1 or a
+    generator: it is filed by its exponent tuple, and ``build`` makes its
+    label and polynomial.  Distinct monomials are never scalar multiples,
+    so no block holds duplicates, and a block's elements do not depend on
+    the order of its candidates, which here follows the exponent tuples
+    instead of the sorted labels.
     """
 
     def __init__(self, subalgebra: FilteredSubalgebra,
                  truncations: Sequence[TruncationParams]):
         self.ambient = subalgebra.ambient
+        self.generators = subalgebra.generators
         self.bounds = [(t.word_length, t.degree) for t in truncations]
         top_degree = max(d for _, d in self.bounds)
-        words = subalgebra._words(max(L for L, _ in self.bounds), top_degree)
+        top_length = max(L for L, _ in self.bounds)
+        self._products: dict = {}  # raw product's terms -> its normal form
+        bidegree = subalgebra._bidegree
+        if subalgebra.module_spanning and isinstance(self.generators, MonomialGenerators):
+            # (label, word, length, peak, bidegree); a generator's label waits for build
+            words = [("1", self.ambient.one(), 0, 0, 0, 0)]
+            if top_length:
+                words += [(None, e, 1, sum(e)) + bidegree(e)
+                          for e in self.generators.exponents]
+        else:
+            words = [w + bidegree(next(iter(w[1].terms)))
+                     for w in subalgebra._words(top_length, top_degree, self._products)]
         # the largest degree bound of a truncation that admits each word length
         caps = [max((d for L, d in self.bounds if L >= length), default=-1)
                 for length in range(max(w[2] for w in words) + 1)]
-        bidegree = subalgebra._bidegree
-        words = [w + bidegree(next(iter(w[1].terms))) for w in words]
         self.blocks: dict = {}  # bidegree -> candidates, in enumeration order
-        self._products: dict = {}  # raw product -> its normal form
         for mlab, mono, mdeg in subalgebra._base_monomials(top_degree):
             m1, m2 = bidegree(mono)
             for wlab, word, length, peak, w1, w2 in words:
@@ -297,14 +390,14 @@ class _Candidates:
             if length > L or reach > d:
                 continue
             if built is None:
-                if mono is None:  # words are normal forms already
+                if wlab is None:  # a monomial generator, a normal form by construction
+                    wlab, poly = self.generators.entry(word)
+                elif mono is None:  # words are normal forms already
                     poly = word
                 else:
                     # x*(y^2*u + y) and y*(x*y*u + x) are one raw product
-                    raw = word.times_monomial(mono)
-                    poly = self._products.get(raw)
-                    if poly is None:
-                        poly = self._products[raw] = self.ambient.normal_form(raw)
+                    poly = _normal_form_once(self.ambient, word.times_monomial(mono),
+                                             self._products)
                 built = cand[-1] = _span_entry(mlab, wlab, poly)
             if not built:  # a zero product
                 continue
@@ -312,6 +405,16 @@ class _Candidates:
             if deg <= d and canon not in seen:
                 seen[canon] = entry
         return list(seen.values())
+
+
+def _normal_form_once(ring: PresentedRing, raw: Polynomial, products: dict) -> Polynomial:
+    """The normal form of ``raw``, read from ``products`` (frozen raw terms
+    -> normal form) if an equal raw product was normal-formed before."""
+    key = frozenset(raw.terms.items())  # hashed once, where a Polynomial key hashes twice
+    nf = products.get(key)
+    if nf is None:
+        nf = products[key] = ring.normal_form(raw)
+    return nf
 
 
 def _span_entry(mlab: str, wlab: str, poly: Polynomial) -> tuple:

@@ -15,11 +15,11 @@ from math import gcd
 
 from .blowup import fixed_locus_ideal
 from .derivation import Derivation, Grading, homogeneity_degree
-from .filtered import (FilteredSubalgebra, IdealSequence, TruncationParams,
-                       compute_m_nu, generated_in_degree_one, subalgebra_contains,
-                       verify_sequence_axioms)
+from .filtered import (FilteredSubalgebra, IdealSequence, MonomialGenerators,
+                       TruncationParams, compute_m_nu, generated_in_degree_one,
+                       subalgebra_contains, verify_sequence_axioms)
 from .groebner import Ideal, InputError, PresentedRing, weighted_monomial_ideal
-from .poly import Polynomial, monomial_label
+from .poly import Polynomial
 from .report import PASS, Report, Undecided
 
 SL2_VARS = ("x", "y", "u", "v")
@@ -245,15 +245,15 @@ def family2_bezout(p: int, q: int) -> tuple:
     return m, (m * q - 1) // p
 
 
-def family2_nonnegative_generators(p: int, q: int, degree: int) -> dict:
-    """Normal-form monomials of nonnegative weight up to the degree bound.
+def family2_exponents(p: int, q: int, degree: int):
+    """Exponents (a, b, c, d) of the normal-form monomials x^a y^b u^c v^d of
+    nonnegative weight up to the degree bound.
 
-    These are x^a y^b u^c v^d with a*d = 0 (x*v is not a normal form) and
-    p*a + q*b >= q*c + p*d, listed by total degree and then by descending
+    These have a*d = 0 (x*v is not a normal form) and
+    p*a + q*b >= q*c + p*d, and come by total degree and then by descending
     exponents of x, y and u.
     """
     family2_weights(p, q)  # validates the weights
-    out = {}
     for total in range(degree + 1):
         for a in range(total, -1, -1):
             for b in range(total - a, -1, -1):
@@ -261,17 +261,20 @@ def family2_nonnegative_generators(p: int, q: int, degree: int) -> dict:
                 # with x present v must be absent, so u takes the rest
                 for c in (range(rest, -1, -1) if a == 0 else (rest,)):
                     d = rest - c
-                    if p * (a - d) + q * (b - c) < 0:
-                        continue
-                    exps = (a, b, c, d)
-                    out[monomial_label(SL2_VARS, exps)] = Polynomial._of(
-                        SL2_VARS, {exps: Fraction(1)})
-    return out
+                    if p * (a - d) + q * (b - c) >= 0:
+                        yield (a, b, c, d)
+
+
+def family2_nonnegative_generators(p: int, q: int, degree: int) -> dict:
+    """The monomials of ``family2_exponents``, label to polynomial, in order."""
+    gens = MonomialGenerators(SL2_VARS, family2_exponents(p, q, degree))
+    return dict(map(gens.entry, gens.exponents))
 
 
 def family2_subalgebra(p: int, q: int, degree: int) -> FilteredSubalgebra:
-    gens = family2_nonnegative_generators(p, q, degree)
-    gens.pop("1", None)
+    """The nonnegative-weight monomials other than 1 as generators, passed by
+    exponents so that a span builds only those of the blocks it reads."""
+    gens = MonomialGenerators(SL2_VARS, (e for e in family2_exponents(p, q, degree) if any(e)))
     return FilteredSubalgebra(sl2_ring(), sl2_derivation(), ("x", "y"), gens,
                               module_spanning=True, torus=sl2_torus())
 

@@ -202,6 +202,14 @@ def test_each_product_is_normal_formed_once_per_sequence(monkeypatch):
     per_sequence = _normal_form_calls(monkeypatch, plain,
                                       lambda: IdealSequence.compute(plain, [top] * 3))
     assert len(per_sequence) == len(eager)
+    # family one's words repeat raw products (Y0*Y2 and Y1^2 are one product):
+    # 305 normal forms, 280 distinct, before words shared the product cache
+    sub = family1_subalgebra(3)
+    levels = [family1_truncation(3, nu) for nu in range(4)]
+    IdealSequence.compute(sub, levels)
+    per_sequence = _normal_form_calls(monkeypatch, sub,
+                                      lambda: IdealSequence.compute(sub, levels))
+    assert len(set(per_sequence)) == len(per_sequence) > 0
 
 
 def test_subalgebra_contains_witness_is_exact():

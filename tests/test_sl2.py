@@ -14,7 +14,7 @@ from gaext.report import FAIL, INDETERMINATE_STATUS, PASS, Report
 from gaext.sl2 import (base_power_ideal, family1_ideal, family1_psi,
                        family1_subalgebra, family1_truncation, family2_bezout, family2_grading,
                        family2_nonnegative_generators, family2_sequence,
-                       family2_weights, gluing_checks, sl2_ring, sl2_sequence,
+                       family2_subalgebra, family2_weights, gluing_checks, sl2_ring, sl2_sequence,
                        verify_cross_family, verify_family1, verify_family2)
 
 
@@ -116,6 +116,15 @@ def test_family2_generators_match_filtered_multisets(p, q):
         expected = _filtered_multisets(p, q, degree)
         assert list(gens) == list(expected)  # the same labels, in the same order
         assert all(gens[label] == g for label, g in expected.items())
+
+
+@pytest.mark.parametrize("p, q", [(1, 1), (2, 1), (3, 2)])
+def test_family2_subalgebra_reads_the_generator_list(p, q):
+    """The subalgebra's exponent generators, read as a mapping, are the
+    generator list without 1: the same labels, polynomials and order."""
+    expected = family2_nonnegative_generators(p, q, 8)
+    del expected["1"]
+    assert list(family2_subalgebra(p, q, 8).generators.items()) == list(expected.items())
 
 
 def test_family2_report_passes():

@@ -1,13 +1,15 @@
 """Torus blocks: m_nu read block by block equals the whole-span kernel path."""
 
+import functools
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+import gaext.filtered
 from gaext.derivation import Derivation, Grading
-from gaext.filtered import (FilteredSubalgebra, IdealSequence, SpanElement,
-                            TruncationParams, compute_m_nu, truncated_spans)
+from gaext.filtered import (FilteredSubalgebra, IdealSequence, MonomialGenerators,
+                            SpanElement, TruncationParams, compute_m_nu, truncated_spans)
 from gaext.groebner import InputError, PresentedRing
 from gaext.poly import StructuralError, parse
 from gaext.sl2 import (family1_subalgebra, family1_truncation, family2_nonnegative_generators,
@@ -33,13 +35,13 @@ def _sl2():
     return sl2_subalgebra(), [TruncationParams(nu, 2 * nu + 2) for nu in range(5)]
 
 
+FAMILY2 = {"family2-p1q1": (1, 1), "family2-p2q1": (2, 1), "family2-p3q2": (3, 2)}
+
 CASES = {
     "family1-n1": lambda: _family1(1),
     "family1-n2": lambda: _family1(2),
     "family1-n3": lambda: _family1(3),
-    "family2-p1q1": lambda: _family2(1, 1),
-    "family2-p2q1": lambda: _family2(2, 1),
-    "family2-p3q2": lambda: _family2(3, 2),
+    **{case: functools.partial(_family2, p, q) for case, (p, q) in FAMILY2.items()},
     "sl2": _sl2,
 }
 
@@ -65,6 +67,59 @@ def test_block_path_equals_kernel_path(case, bounds):
         assert blocks.equals(kernel)
         minimal = sorted(kernel.minimal_monomial_generators(), key=lambda e: (sum(e), e))
         assert [g.terms for g in blocks.generators] == [{e: Fraction(1)} for e in minimal]
+
+
+@pytest.mark.parametrize("bounds", sorted(BOUNDS))
+@pytest.mark.parametrize("case", sorted(FAMILY2))
+def test_exponent_generators_match_labelled_generators(case, bounds):
+    """Family 2's generators as exponent tuples give the spans and the
+    sequence that the same monomials give as a labelled dict."""
+    p, q = FAMILY2[case]
+    sub, truncations = CASES[case]()
+    gens = family2_nonnegative_generators(p, q, truncations[-1].degree)
+    del gens["1"]
+    labelled = FilteredSubalgebra(sub.ambient, sub.derivation, sub.base_vars, gens,
+                                  module_spanning=True, torus=sub.torus)
+    assert isinstance(sub.generators, MonomialGenerators)
+    assert isinstance(labelled.generators, dict)
+    truncations = [BOUNDS[bounds](t) for t in truncations]
+    for ours, theirs in zip(truncated_spans(sub, truncations),
+                            truncated_spans(labelled, truncations)):
+        assert [(e.label, e.poly) for e in ours] == [(e.label, e.poly) for e in theirs]
+    ours, theirs = (IdealSequence.compute(s, truncations).ideals for s in (sub, labelled))
+    assert [m.generators for m in ours] == [m.generators for m in theirs]
+
+
+def test_exponent_generators_are_checked_at_construction(monkeypatch):
+    ring = sl2_ring()
+
+    def subalgebra(*exponents):
+        return FilteredSubalgebra(ring, sl2_derivation(), ("x", "y"),
+                                  MonomialGenerators(ring.variables, exponents),
+                                  module_spanning=True, torus=sl2_torus())
+
+    with pytest.raises(InputError, match=r"x\*v is not a normal form"):
+        subalgebra((1, 0, 0, 0), (1, 0, 0, 1))
+    with pytest.raises(InputError, match="monomial 1"):
+        subalgebra((0, 0, 0, 0))
+    for bad in ((1, 0, 0), (1, 0, 0, 0, 0), (1, -1, 0, 0), (1, 0, 0.5, 0)):
+        with pytest.raises(InputError, match="exponents"):
+            subalgebra(bad)
+    with pytest.raises(InputError, match="repeated"):
+        subalgebra((0, 1, 0, 0), (0, 1, 0, 0))
+    labels = []
+    original = gaext.filtered.monomial_label
+
+    def labelling(*args):
+        labels.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(gaext.filtered, "monomial_label", labelling)
+    sub = subalgebra((2, 0, 1, 0), (0, 1, 0, 0))
+    assert len(sub.generators) == 2
+    assert not labels
+    assert sub.generators["x^2*u"] == ring.parse("x^2*u")
+    assert list(sub.generators) == ["x^2*u", "y"]
 
 
 def test_torus_is_checked_at_construction():
@@ -129,6 +184,37 @@ def test_family1_builds_only_visited_blocks(monkeypatch):
     monkeypatch.setattr(PresentedRing, "normal_form", counting)
     IdealSequence.compute(sub, [family1_truncation(1, nu) for nu in range(4)])
     assert 0 < len(calls) < 300
+
+
+def test_family2_builds_only_visited_generators(monkeypatch):
+    """Family 2 at (3, 2), levels 0..3, on a fresh table: construction and
+    the sequence label and normal-form only the generators of the blocks
+    they visit, where the labelled list of 7 517 generators takes 7 518
+    labels and 7 563 normal forms."""
+    ring = sl2_ring()
+    fresh = Derivation(ring, {"u": ring.var("x"), "v": ring.var("y")})
+    truncations = [family2_truncation(3, 2, nu) for nu in range(4)]
+    gens = family2_subalgebra(3, 2, truncations[-1].degree).generators
+    calls, labels = [], []
+    normal_form, monomial_label = PresentedRing.normal_form, gaext.filtered.monomial_label
+
+    def counting(self, f):
+        if self is ring:
+            calls.append(f)
+        return normal_form(self, f)
+
+    def labelling(*args):
+        labels.append(args)
+        return monomial_label(*args)
+
+    monkeypatch.setattr(PresentedRing, "normal_form", counting)
+    monkeypatch.setattr(gaext.filtered, "monomial_label", labelling)
+    sub = FilteredSubalgebra(ring, fresh, ("x", "y"), gens, module_spanning=True,
+                             torus=sl2_torus())
+    IdealSequence.compute(sub, truncations)
+    assert len(gens) == 7517
+    assert len(calls) < 300
+    assert 0 < len(labels) < 300
 
 
 def test_block_path_rejects_an_image_off_its_target():
