@@ -1,18 +1,16 @@
 """Chart-local blowup of a ring with derivation along an invariant center.
 
 One affine chart of the blowup along <g_1, ..., g_s> with divisor f adjoins
-the fractions g_i/f.  When the center consists of distinct variables of a
-relation-free ring and f is one of them, the fractions are eliminated into
-fresh free variables; otherwise fresh variables w_i with relations
-w_i*f - g_i are adjoined.  The derivation is transported by the quotient
-rule D(g_i/f) = (D(g_i) - (g_i/f) D(f)) / f, which must come out
-polynomial in the chart — a failure signals a non-invariant center.
+the fractions g_i/f.  The center must consist of distinct variables of a
+relation-free ring, f one of them, and the fractions are eliminated into
+fresh free variables.  The derivation is transported by the quotient rule
+D(g_i/f) = (D(g_i) - (g_i/f) D(f)) / f, which must come out polynomial in
+the chart — a failure signals a non-invariant center.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .derivation import Derivation
 from .groebner import Ideal, InputError, PresentedRing
@@ -53,7 +51,9 @@ def blowup_chart(ring: PresentedRing, derivation: Derivation, f: Polynomial,
 
     ``f`` is the divisor generating the exceptional locus in this chart;
     ``names`` optionally renames the adjoined coordinates (center variable
-    name -> chart name).
+    name -> chart name).  A center of more than one entry must be distinct
+    coordinate variables of a ring without relations; any other raises
+    ``InputError``.
     """
     f = ring.normal_form(f)
     centers = [ring.normal_form(g) for g in centers]
@@ -69,7 +69,8 @@ def blowup_chart(ring: PresentedRing, derivation: Derivation, f: Polynomial,
     if ring.relations or not all(g.is_monomial() and g.total_degree() == 1
                                  and g.leading_coefficient() == 1
                                  for g in centers):
-        return _blowup_chart_general(ring, derivation, f, centers, j)
+        raise InputError("a blowup center must be coordinate variables of a ring "
+                         "without relations")
     return _blowup_chart_elimination(ring, derivation, f, centers, j,
                                      names or {})
 
@@ -116,47 +117,6 @@ def _blowup_chart_elimination(ring, derivation, f, centers, j, names):
         else:
             images[chart_name[v]] = image
     transported = Derivation(chart, images)
-    return ChartBlowup(ring, f, centers, chart, transported, substitution, strict)
-
-
-def _blowup_chart_general(ring, derivation, f, centers, j):
-    w_names = tuple(f"w{i}" for i in range(len(centers)) if i != j)
-    chart_vars = ring.variables + w_names
-    relations = [r.extend(chart_vars) for r in ring.relations]
-    f_ext = f.extend(chart_vars)
-    w_iter = iter(w_names)
-    w_of = {}
-    for i, g in enumerate(centers):
-        if i == j:
-            continue
-        name = next(w_iter)
-        w_of[i] = name
-        relations.append(Polynomial.variable(name, chart_vars) * f_ext
-                         - g.extend(chart_vars))
-    chart = PresentedRing(chart_vars, relations)
-    # division by f through a temporary inverse
-    loc_vars = chart_vars + ("Tinv",)
-    loc = PresentedRing(loc_vars,
-                        [r.extend(loc_vars) for r in relations]
-                        + [Polynomial.variable("Tinv", loc_vars) * f.extend(loc_vars)
-                           - Polynomial.one(loc_vars)])
-    d_f = derivation(f).extend(chart_vars)
-    images = {v: derivation.images[v].extend(chart_vars) for v in ring.variables}
-    for i, g in enumerate(centers):
-        if i == j:
-            continue
-        name = w_of[i]
-        numerator = (derivation(g).extend(chart_vars)
-                     - Polynomial.variable(name, chart_vars) * d_f)
-        quotient = loc.normal_form(numerator.extend(loc_vars)
-                                   * Polynomial.variable("Tinv", loc_vars))
-        if "Tinv" in quotient.used_variables():
-            raise InputError(
-                f"derivation transport is not polynomial for {name}")
-        images[name] = quotient.restrict(chart_vars)
-    transported = Derivation(chart, images)
-    substitution = {v: chart.var(v) for v in ring.variables}
-    strict = {w_of[i]: chart.var(w_of[i]) for i in w_of}
     return ChartBlowup(ring, f, centers, chart, transported, substitution, strict)
 
 

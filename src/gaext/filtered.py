@@ -15,19 +15,21 @@ computes each m_nu once, and keeps the per-level bounds in
 
 A subalgebra may declare a 2-torus grading under which its relations,
 generators and derivation are homogeneous and its two base variables have
-independent weights, as O(SL2) and its subalgebras do.  Every span element
-then lies in one torus block, each block's D^nu images are multiples of one
-base monomial, and ``compute_m_nu`` reads m_nu off the blocks one at a
-time, skipping each block whose monomial it has already covered.  A
-candidate's block is known from exponents before its product is formed,
-so a sequence builds only the blocks m_nu visits: it multiplies,
-normal-forms and sorts no candidate of a skipped block.  Without a torus
-the whole span is one block, and m_nu is the kernel of D^(nu+1) on it.
+unimodular weights, as O(SL2) and its subalgebras do.  Every span element
+then lies in one torus block, named by an integer pair of base exponents;
+each block's D^nu images are multiples of one base monomial, and
+``compute_m_nu`` reads m_nu off the blocks one at a time, skipping each
+block whose monomial it has already covered.  A candidate's block is known
+from exponents before its product is formed, so a sequence builds only the
+blocks m_nu visits: it multiplies, normal-forms and sorts no candidate of a
+skipped block.  Without a torus the whole span is one block, and m_nu is
+the kernel of D^(nu+1) on it.
 
-Generators that are monic monomials, as family two's are, may come as
-exponent tuples (``MonomialGenerators``).  Construction then checks each
-tuple for a normal form without building it, a module-spanning span files
-each generator by the block its exponents name, and only the generators of
+Generators that are monic monomials and, together with 1, span the
+subalgebra linearly, as family two's do, come as exponent tuples
+(``MonomialGenerators``).  Construction then checks each tuple for a normal
+form without building it, the span is 1 and the generators themselves,
+each filed by the block its exponents name, and only the generators of
 visited blocks get a label and a polynomial.
 """
 
@@ -80,6 +82,12 @@ class SpanElement:
 class MonomialGenerators(Mapping):
     """Monic monomial generators given by exponent tuples, read as a mapping
     from label to ``Polynomial`` in the order of the tuples.
+
+    Passing them declares that they and 1 span the subalgebra linearly up to
+    any degree bound: every product of base monomials and generators of
+    degree at most d is a combination of 1 and the generators of degree at
+    most d.  A span then holds no base monomial but 1 and no word of two or
+    more generators, which would only add dependent products.
 
     A tuple's ``monomial_label`` and polynomial are built only when its
     entry is read, so a subalgebra can file thousands of such generators by
@@ -136,28 +144,24 @@ class FilteredSubalgebra:
     """Finitely generated subalgebra of a presented ring, with derivation.
 
     ``base_vars`` must be killed by the derivation (their span is where the
-    graded ideals live).  When ``module_spanning`` is set, the generators
-    are declared to span the subalgebra linearly up to the degree bound:
-    every product of base monomials and generators of degree at most d is
-    a combination of 1 and the generators of degree at most d.  Span
-    construction then skips base monomials and words of two or more
-    generators, which would only add dependent products.
+    graded ideals live).
 
     ``torus`` may hold two ``Grading``s of the ambient ring; construction
     raises ``InputError`` unless D and every generator are homogeneous for
-    both and the two base variables' weights are independent.  Since the
-    ring's products and normal forms keep both degrees, every span element
-    is then bihomogeneous, and ``compute_m_nu`` works block by block.
+    both and the two base variables' weights form a matrix of determinant
+    ±1.  Since the ring's products and normal forms keep both degrees,
+    every span element is then bihomogeneous, and ``compute_m_nu`` works
+    block by block.
 
-    ``generators`` maps labels to polynomials, which are normal-formed, or
-    is a ``MonomialGenerators``, whose exponent tuples must each name a
+    ``generators`` maps labels to polynomials, which are normal-formed and
+    span the subalgebra as an algebra over the base ring, or is a
+    ``MonomialGenerators``, whose exponent tuples must each name a
     nonconstant monomial that is already a normal form; it is kept as
     given, and no generator of it is built until a span reads it.
     """
 
     def __init__(self, ambient: PresentedRing, derivation: Derivation,
                  base_vars: Sequence[str], generators: Mapping,
-                 module_spanning: bool = False,
                  torus: Sequence[Grading] | None = None):
         if derivation.ring is not ambient:
             raise StructuralError("derivation acts on a different ring")
@@ -180,7 +184,6 @@ class FilteredSubalgebra:
                     raise InputError(f"generator {label} is zero")
                 gens[label] = nf
         self.generators = gens
-        self.module_spanning = bool(module_spanning)
         self.torus = None if torus is None else tuple(torus)
         if self.torus is None:
             # every bidegree is (0, 0): the whole span is one block
@@ -193,11 +196,11 @@ class FilteredSubalgebra:
 
         Checks the torus: two gradings of the ambient ring (so the
         relations are homogeneous for both), D homogeneous for both, every
-        generator bihomogeneous, and two base variables with independent
-        weights.  A bidegree then names one exponent pair (a, b) of the
-        base variables, whether or not a and b are natural numbers: the
-        coordinates of a variable are the base exponents of its weights,
-        and those of the shift tell where D moves a block.
+        generator bihomogeneous, and two base variables whose weights form
+        a matrix of determinant ±1.  A bidegree then names one integer pair
+        (a, b) of base exponents, natural numbers or not: the coordinates of
+        a variable are the base exponents of its weights, and those of the
+        shift tell where D moves a block.
         """
         if len(self.torus) != 2 or any(g.ring is not self.ambient for g in self.torus):
             raise InputError("a torus is two gradings of the ambient ring")
@@ -210,11 +213,13 @@ class FilteredSubalgebra:
         det = a * d - b * c
         if not det:
             raise InputError("the base variables' torus weights are dependent")
+        if det not in (1, -1):
+            raise InputError("the base variables' torus weights are not unimodular")
 
         def solve(w1: int, w2: int) -> tuple:
-            # the exponent pair (e1, e2) with e1*col(a, c) + e2*col(b, d) = (w1, w2)
-            pair = (Fraction(d * w1 - b * w2, det), Fraction(a * w2 - c * w1, det))
-            return tuple(e.numerator if e.denominator == 1 else e for e in pair)
+            # the exponent pair (e1, e2) with e1*col(a, c) + e2*col(b, d) = (w1, w2);
+            # 1/det is det
+            return ((d * w1 - b * w2) * det, (a * w2 - c * w1) * det)
         columns = [solve(*(w.weights[n] for w in self.torus)) for n in self.ambient.variables]
         w1, w2 = tuple(zip(*columns))
         if isinstance(self.generators, MonomialGenerators):
@@ -230,46 +235,29 @@ class FilteredSubalgebra:
         w1, w2 = self._block_weights
         return (sum(map(mul, exps, w1)), sum(map(mul, exps, w2)))
 
-    def _group(self, elements: list) -> dict:
-        """A caller's spanning list by torus block, each block in list order."""
-        blocks: dict = {}
-        for el in elements:
-            # span elements are bihomogeneous
-            blocks.setdefault(self._bidegree(next(iter(el.poly.terms))), []).append(el)
-        return blocks
-
     def _blocks(self, keys, nu: int) -> list:
-        """((a, b), target, key) per torus block that can add to m_nu.
+        """((a, b), key) per torus block that can add to m_nu.
 
         D^nu maps the block of bidegree ``key`` into one bidegree, whose
-        base exponent pair (a, b) is the block's target, also returned as an
-        ambient exponent tuple.  A target with a negative or fractional
-        exponent is no base monomial, so every D^nu image there is zero or
-        escapes the base ring; such a block is left out, unchecked.  Blocks
-        come by ascending target under ``monomial_key``.
+        base exponent pair (a, b) is the block's target.  A target with a
+        negative exponent is no base monomial, so every D^nu image there is
+        zero or escapes the base ring; such a block is left out, unchecked.
+        Blocks come by ascending target degree a + b.  Every proper divisor
+        of a target has lower degree, so the order within one degree
+        changes neither which blocks are skipped nor m_nu.
         """
         s1, s2 = self._block_shift
-        variables = self.ambient.variables
-        i1, i2 = (variables.index(n) for n in self.base_vars)
         out = []
-        for key in keys:
-            t1, t2 = key[0] + nu * s1, key[1] + nu * s2
-            if t1 < 0 or t2 < 0 or int(t1) != t1 or int(t2) != t2:
-                continue
-            t1, t2 = int(t1), int(t2)
-            target = [0] * len(variables)
-            target[i1], target[i2] = t1, t2
-            out.append(((t1, t2), tuple(target), key))
-        out.sort(key=lambda entry: monomial_key(entry[1]))
+        for k1, k2 in keys:
+            t1, t2 = k1 + nu * s1, k2 + nu * s2
+            if t1 >= 0 and t2 >= 0:
+                out.append(((t1, t2), (k1, k2)))
+        out.sort(key=lambda entry: sum(entry[0]))
         return out
 
     def _base_monomials(self, degree: int):
         """(label, exponents, total degree) for base monomials up to degree."""
         variables = self.ambient.variables
-        if self.module_spanning:
-            # the generator list already holds every base-monomial multiple
-            yield ("1", (0,) * len(variables), 0)
-            return
         idx = [variables.index(v) for v in self.base_vars]
         for total in range(degree + 1):
             for combo in itertools.combinations_with_replacement(idx, total):
@@ -289,8 +277,6 @@ class FilteredSubalgebra:
         only if it is not there yet.  Words come in order of length, then of
         sorted label tuple.
         """
-        if self.module_spanning:
-            length = min(length, 1)
         labels = sorted(self.generators)
         gens = [self.generators[lab] for lab in labels]
         out = [("1", self.ambient.one(), 0, 0)]
@@ -333,13 +319,13 @@ class _Candidates:
     formed.  ``build`` forms a block's products when a level first reads
     it, normal-forming each candidate at most once for all truncations.
 
-    A module-spanning subalgebra with ``MonomialGenerators`` has one base
-    monomial, 1, and words of at most one letter, so a candidate is 1 or a
-    generator: it is filed by its exponent tuple, and ``build`` makes its
-    label and polynomial.  Distinct monomials are never scalar multiples,
-    so no block holds duplicates, and a block's elements do not depend on
-    the order of its candidates, which here follows the exponent tuples
-    instead of the sorted labels.
+    A subalgebra with ``MonomialGenerators`` has one base monomial, 1, and
+    words of at most one letter, so a candidate is 1 or a generator: it is
+    filed by its exponent tuple, and ``build`` makes its label and
+    polynomial.  Distinct monomials are never scalar multiples, so no block
+    holds duplicates, and a block's elements do not depend on the order of
+    its candidates, which here follows the exponent tuples instead of the
+    sorted labels.
     """
 
     def __init__(self, subalgebra: FilteredSubalgebra,
@@ -351,20 +337,22 @@ class _Candidates:
         top_length = max(L for L, _ in self.bounds)
         self._products: dict = {}  # raw product's terms -> its normal form
         bidegree = subalgebra._bidegree
-        if subalgebra.module_spanning and isinstance(self.generators, MonomialGenerators):
+        if isinstance(self.generators, MonomialGenerators):
             # (label, word, length, peak, bidegree); a generator's label waits for build
             words = [("1", self.ambient.one(), 0, 0, 0, 0)]
             if top_length:
                 words += [(None, e, 1, sum(e)) + bidegree(e)
                           for e in self.generators.exponents]
+            bases = [("1", (0,) * len(self.ambient.variables), 0)]
         else:
             words = [w + bidegree(next(iter(w[1].terms)))
                      for w in subalgebra._words(top_length, top_degree, self._products)]
+            bases = subalgebra._base_monomials(top_degree)
         # the largest degree bound of a truncation that admits each word length
         caps = [max((d for L, d in self.bounds if L >= length), default=-1)
                 for length in range(max(w[2] for w in words) + 1)]
         self.blocks: dict = {}  # bidegree -> candidates, in enumeration order
-        for mlab, mono, mdeg in subalgebra._base_monomials(top_degree):
+        for mlab, mono, mdeg in bases:
             m1, m2 = bidegree(mono)
             for wlab, word, length, peak, w1, w2 in words:
                 reach = max(mdeg, peak)
@@ -508,10 +496,6 @@ def subalgebra_contains(subalgebra: FilteredSubalgebra, f: Polynomial,
     return Member(combination, witness)
 
 
-_ESCAPES = ("graded image escapes the base ring; derivation kernel is larger "
-           "than the base variables")
-
-
 def _kernel_images(derivation: Derivation, nu: int, elements: list):
     """D^nu of each kernel combination of D^(nu+1) on the elements, nonzero
     ones only, in the order the echelon finds them.
@@ -546,14 +530,13 @@ def _kernel_images(derivation: Derivation, nu: int, elements: list):
 
 def compute_m_nu(subalgebra: FilteredSubalgebra, nu: int,
                  truncation: TruncationParams,
-                 span: list | Mapping | None = None) -> Ideal:
+                 span: _Level | None = None) -> Ideal:
     """Ideal generated by D^nu of the truncated kernel of D^(nu+1).
 
     Sound: every generator genuinely lies in the level-nu graded ideal.
     Complete only up to the truncation; enlarging it never shrinks the
-    result.  ``span`` may hold ``truncated_span(subalgebra, truncation)``
-    when the caller has built it already; ``IdealSequence.compute`` passes
-    its level's span by torus block instead, built as it is read.
+    result.  ``IdealSequence.compute`` passes its level's span as ``span``,
+    by torus block, built as it is read; without one, m_nu builds its own.
 
     Without a torus the kernel of D^(nu+1) on the whole span gives one
     generator per kernel combination with a nonzero image, made monic and
@@ -562,16 +545,13 @@ def compute_m_nu(subalgebra: FilteredSubalgebra, nu: int,
     kernel combination there whose D^nu image is nonzero, so the same
     kernel loop runs block by block, stops at the first such combination,
     and skips every block whose target the monomials found so far divide.
-    A block left out is never built, so with no ``span`` given only the
-    visited blocks' products are formed.  The result is then the minimal
-    monomial generators.  Either way the generators are sorted by total
-    degree, then by terms.
+    A block left out is never built, so only the visited blocks' products
+    are formed.  The result is then the minimal monomial generators.
+    Either way the generators are sorted by total degree, then by terms.
     """
     if nu < 0:
         raise InputError("filtration level must be nonnegative")
-    if span is None:
-        span = _Level(_Candidates(subalgebra, [truncation]), 0)
-    blocks = span if isinstance(span, Mapping) else subalgebra._group(span)
+    blocks = _Level(_Candidates(subalgebra, [truncation]), 0) if span is None else span
     derivation = subalgebra.derivation
     base = tuple(subalgebra.base_vars)
     if subalgebra.torus is None:  # one block: the whole span
@@ -580,20 +560,19 @@ def compute_m_nu(subalgebra: FilteredSubalgebra, nu: int,
     else:
         images = []
         found = []  # base exponent pairs of the targets added so far
-        for (a, b), target, key in subalgebra._blocks(blocks, nu):
+        for (a, b), key in subalgebra._blocks(blocks, nu):
             if any(fa <= a and fb <= b for fa, fb in found):
                 continue
             image = next(_kernel_images(derivation, nu, blocks[key]), None)
-            if image is None:
-                continue
-            if image.terms.keys() != {target}:
-                raise StructuralError(_ESCAPES)
-            found.append((a, b))
-            images.append(image)
+            if image is not None:
+                # a bihomogeneous image in the base variables is x^a*y^b alone
+                found.append((a, b))
+                images.append(image)
     gens = {}
     for image in images:
         if not set(image.used_variables()) <= set(base):
-            raise StructuralError(_ESCAPES)
+            raise StructuralError("graded image escapes the base ring; derivation kernel "
+                                  "is larger than the base variables")
         restricted = image.restrict(base).monic()
         gens[frozenset(restricted.terms.items())] = restricted
     ordered = sorted(gens.values(), key=lambda p: (p.total_degree(), sorted(p.terms)))

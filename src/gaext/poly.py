@@ -423,7 +423,10 @@ def parse(text: str, variables) -> Polynomial:
             base = inner
         elif kind == "num":
             i += 1
-            base = Polynomial.constant(Fraction(val), variables)
+            try:
+                base = Polynomial.constant(Fraction(val), variables)
+            except ZeroDivisionError:
+                raise StructuralError(f"zero denominator in {val}") from None
         else:
             i += 1
             base = Polynomial.variable(val, variables)

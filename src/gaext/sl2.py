@@ -273,10 +273,10 @@ def family2_nonnegative_generators(p: int, q: int, degree: int) -> dict:
 
 def family2_subalgebra(p: int, q: int, degree: int) -> FilteredSubalgebra:
     """The nonnegative-weight monomials other than 1 as generators, passed by
-    exponents so that a span builds only those of the blocks it reads."""
+    exponents: with 1 they span the subalgebra linearly, and a span builds
+    only those of the blocks it reads."""
     gens = MonomialGenerators(SL2_VARS, (e for e in family2_exponents(p, q, degree) if any(e)))
-    return FilteredSubalgebra(sl2_ring(), sl2_derivation(), ("x", "y"), gens,
-                              module_spanning=True, torus=sl2_torus())
+    return FilteredSubalgebra(sl2_ring(), sl2_derivation(), ("x", "y"), gens, torus=sl2_torus())
 
 
 def family2_truncation(p: int, q: int, nu: int) -> TruncationParams:

@@ -6,7 +6,7 @@ from gaext.blowup import (blowup_chart, fixed_locus_ideal, initial_chart,
                           verify_section7_cases)
 from gaext.derivation import Derivation
 from gaext.groebner import Ideal, InputError, PresentedRing
-from gaext.poly import Polynomial, parse
+from gaext.poly import parse
 from gaext.report import PASS
 
 
@@ -47,23 +47,19 @@ def test_transport_not_polynomial_raises():
 
 
 def test_general_path_matches_elimination():
-    # same blowup through the presented-ring path (force it with a relation-free
-    # ring but a non-variable center entry expressed via the general machinery)
+    # the elimination path blows up a relation-free ring along coordinate
+    # variables; any other center, here one entry 2x, is an input error
     base = PresentedRing(("x", "y", "z"))
     y = base.var("y")
     d = Derivation(base, {"x": y ** 2})
     elim = blowup_chart(base, d, y, [base.var("x"), y, base.var("z")], 1,
                         names={"x": "xi", "y": "eta", "z": "zeta"})
-    # the general path keeps the source variables and adjoins w0, w1
-    gen = blowup_chart(base, d, y, [base.var("x") + base.var("x"),
-                                    y, base.var("z")], 1)
-    assert gen.ring.variables[-2:] == ("w0", "w2")
-    # D(x/y): elimination gives eta in variable xi; general path gives the
-    # matching image 2y for w0 = 2x/y
     assert elim.derivation.images["xi"] == elim.ring.var("eta")
-    img = gen.derivation.images["w0"]
-    expected = 2 * Polynomial.variable("y", gen.ring.variables)
-    assert gen.ring.normal_form(img - expected).is_zero()
+    with pytest.raises(InputError, match="coordinate variables"):
+        blowup_chart(base, d, y, [base.var("x") + base.var("x"), y, base.var("z")], 1)
+    sl2 = PresentedRing(("x", "y"), [parse("x*y - 1", ("x", "y"))])
+    with pytest.raises(InputError, match="without relations"):
+        blowup_chart(sl2, Derivation(sl2, {}), sl2.var("x"), [sl2.var("x"), sl2.var("y")], 0)
 
 
 def test_fixed_locus_ideal():

@@ -86,6 +86,13 @@ def test_membership_parse_error(capsys):
     assert "parse error" in err
 
 
+def test_membership_zero_denominator_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "membership", "--n", "1", "--", "2/0")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "parse error: zero denominator in 2/0\n"
+
+
 def test_trunc_scale_env(capsys, monkeypatch):
     monkeypatch.setenv("LND_TRUNC_SCALE", "1.5")
     code, out, _ = run(capsys, "verify", "family1", "--n", "1", "--nu-max", "1")

@@ -9,9 +9,9 @@ import pytest
 
 import gaext.groebner
 from gaext.derivation import Derivation
-from gaext.filtered import (FilteredSubalgebra, IdealSequence, TruncationParams,
-                            compute_m_nu, generated_in_degree_one,
-                            subalgebra_contains, truncated_span,
+from gaext.filtered import (FilteredSubalgebra, IdealSequence, MonomialGenerators,
+                            TruncationParams, _Candidates, _Level, compute_m_nu,
+                            generated_in_degree_one, subalgebra_contains, truncated_span,
                             truncated_spans, verify_sequence_axioms)
 from gaext.groebner import Ideal, InputError, PresentedRing
 from gaext.linalg import Echelon
@@ -53,9 +53,14 @@ def test_truncated_span_deterministic_and_deduplicated():
 
 def _reference_span(sub, trunc):
     """One truncation's span, enumerated on its own: every word product is
-    recomputed from its first factor, every base monomial multiplied in."""
+    recomputed from its first factor, every base monomial multiplied in.
+    ``MonomialGenerators`` declare that they and 1 span the subalgebra, so
+    their words have at most one letter and their only base monomial is 1."""
     ring = sub.ambient
     length, degree = trunc.word_length, trunc.degree
+    monomial = isinstance(sub.generators, MonomialGenerators)
+    if monomial:
+        length = min(length, 1)
 
     def too_big(poly):
         return poly.is_zero() or poly.total_degree() > degree
@@ -72,7 +77,7 @@ def _reference_span(sub, trunc):
                 words.append(("*".join(f"{lab}^{combo.count(lab)}" if combo.count(lab) > 1
                                        else lab for lab in sorted(set(combo))), poly))
     bases = [("1", ring.one())]
-    if not sub.module_spanning:
+    if not monomial:
         bases = []
         for total in range(degree + 1):
             for combo in itertools.combinations_with_replacement(sub.base_vars, total):
@@ -156,12 +161,18 @@ def _ideals_or_error(levels) -> list | str:
 @pytest.mark.parametrize("name", sorted(SPAN_SEQUENCES))
 def test_lazy_blocks_match_eager_spans(name):
     """The sequence, which builds only the blocks m_nu visits, and m_nu on
-    its own give m_nu on the fully built span, generator for generator."""
+    its own give m_nu on a span whose every block is built first, generator
+    for generator.  Each element of a built block lies in the bidegree that
+    its exponents filed it under."""
     sub, truncations = SPAN_SEQUENCES[name]()
-    spans = truncated_spans(sub, truncations)
+    candidates = _Candidates(sub, truncations)
+    levels = [_Level(candidates, nu) for nu in range(len(truncations))]
+    for level in levels:
+        for key in level:
+            assert all(sub._bidegree(e) == key for el in level[key] for e in el.poly.terms)
     eager = _ideals_or_error(
-        functools.partial(compute_m_nu, sub, nu, trunc, span)
-        for nu, (trunc, span) in enumerate(zip(truncations, spans)))
+        functools.partial(compute_m_nu, sub, nu, trunc, level)
+        for nu, (trunc, level) in enumerate(zip(truncations, levels)))
     alone = _ideals_or_error(functools.partial(compute_m_nu, sub, nu, trunc)
                              for nu, trunc in enumerate(truncations))
     try:
@@ -457,8 +468,9 @@ def test_family2_generators_span_their_products():
     generators and base-monomial multiples add no rank."""
     degree = 6
     declared = family2_subalgebra(2, 1, degree)
-    plain = FilteredSubalgebra(declared.ambient, declared.derivation, ("x", "y"),
-                               declared.generators)
+    labelled = dict(declared.generators)  # the same monomials, label to polynomial
+    plain = FilteredSubalgebra(declared.ambient, declared.derivation, ("x", "y"), labelled)
+    assert not isinstance(plain.generators, MonomialGenerators)
     ranks = []
     for sub, length in ((declared, 1), (plain, 2)):
         echelon = Echelon(sub.ambient.variables)

@@ -14,8 +14,6 @@ from fractions import Fraction
 import pytest
 
 from gaext import groebner
-from gaext.blowup import blowup_chart
-from gaext.derivation import Derivation
 from gaext.groebner import PresentedRing
 from gaext.poly import Polynomial, parse
 from gaext.pullback import build_pullback
@@ -32,13 +30,6 @@ def _pullback(g, h):
     return build_pullback(XY, parse(g, XY), parse(h, XY)).ring
 
 
-def _blowup_chart():
-    base = PresentedRing(("x", "y", "z"))
-    x, y, z = base.gens()
-    chart = blowup_chart(base, Derivation(base, {"x": y ** 2}), y, [x + x, y, z], 1)
-    return chart.ring
-
-
 ONE_RELATION = {
     "sl2": sl2_ring,
     "gluing": localized_ring,
@@ -50,7 +41,9 @@ ONE_RELATION = {
 }
 GENERAL = {
     "pullback-x2+y-y2": lambda: _pullback("x^2 + y", "y^2"),
-    "blowup-chart": _blowup_chart,
+    # the y-chart of the blowup of Q[x,y,z] along <2x, y, z>, with w0 = 2x/y
+    # and w2 = z/y: two relations that share the divisor y
+    "blowup-chart": lambda: _ring(("x", "y", "z", "w0", "w2"), "w0*y - 2*x", "w2*y - z"),
     "no-relations": lambda: PresentedRing(("x", "y", "z")),
 }
 

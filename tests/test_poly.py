@@ -94,6 +94,9 @@ def test_parse_forms():
     assert parse("-x + x", XY).is_zero()
     with pytest.raises(StructuralError):
         parse("x + z", XY)
+    for text in ("2/0", "x + 1/00*y", "(y - 3/0)^2"):
+        with pytest.raises(StructuralError, match="zero denominator"):
+            parse(text, XY)
 
 
 def test_order_leading_terms():

@@ -7,19 +7,19 @@ from fractions import Fraction
 import pytest
 
 import gaext.filtered
-from gaext.derivation import Derivation, Grading
+from gaext.derivation import Derivation, Grading, homogeneity_degree
 from gaext.filtered import (FilteredSubalgebra, IdealSequence, MonomialGenerators,
-                            SpanElement, TruncationParams, compute_m_nu, truncated_spans)
+                            TruncationParams, compute_m_nu, truncated_spans)
 from gaext.groebner import InputError, PresentedRing
-from gaext.poly import StructuralError, parse
-from gaext.sl2 import (family1_subalgebra, family1_truncation, family2_nonnegative_generators,
-                       family2_subalgebra, family2_truncation, sl2_derivation, sl2_ring,
-                       sl2_subalgebra, sl2_torus)
+from gaext.poly import StructuralError
+from gaext.sl2 import (family1_subalgebra, family1_truncation, family2_subalgebra,
+                       family2_truncation, sl2_derivation, sl2_ring, sl2_subalgebra,
+                       sl2_torus)
+from test_filtered import _reference_span
 
 
 def _without_torus(sub: FilteredSubalgebra) -> FilteredSubalgebra:
-    return FilteredSubalgebra(sub.ambient, sub.derivation, sub.base_vars,
-                              sub.generators, sub.module_spanning)
+    return FilteredSubalgebra(sub.ambient, sub.derivation, sub.base_vars, sub.generators)
 
 
 def _family1(n):
@@ -60,10 +60,9 @@ def test_block_path_equals_kernel_path(case, bounds):
     assert sub.torus is not None
     plain = _without_torus(sub)
     truncations = [BOUNDS[bounds](t) for t in truncations]
-    spans = truncated_spans(sub, truncations)
-    for nu, (trunc, span) in enumerate(zip(truncations, spans)):
-        blocks = compute_m_nu(sub, nu, trunc, span)
-        kernel = compute_m_nu(plain, nu, trunc, span)
+    for nu, trunc in enumerate(truncations):
+        blocks = compute_m_nu(sub, nu, trunc)
+        kernel = compute_m_nu(plain, nu, trunc)
         assert blocks.equals(kernel)
         minimal = sorted(kernel.minimal_monomial_generators(), key=lambda e: (sum(e), e))
         assert [g.terms for g in blocks.generators] == [{e: Fraction(1)} for e in minimal]
@@ -72,22 +71,18 @@ def test_block_path_equals_kernel_path(case, bounds):
 @pytest.mark.parametrize("bounds", sorted(BOUNDS))
 @pytest.mark.parametrize("case", sorted(FAMILY2))
 def test_exponent_generators_match_labelled_generators(case, bounds):
-    """Family 2's generators as exponent tuples give the spans and the
-    sequence that the same monomials give as a labelled dict."""
-    p, q = FAMILY2[case]
+    """Family 2's generators as exponent tuples give the spans that the
+    reference enumeration over their labelled polynomials gives, and the
+    sequence that the whole-span kernel path gives."""
     sub, truncations = CASES[case]()
-    gens = family2_nonnegative_generators(p, q, truncations[-1].degree)
-    del gens["1"]
-    labelled = FilteredSubalgebra(sub.ambient, sub.derivation, sub.base_vars, gens,
-                                  module_spanning=True, torus=sub.torus)
     assert isinstance(sub.generators, MonomialGenerators)
-    assert isinstance(labelled.generators, dict)
     truncations = [BOUNDS[bounds](t) for t in truncations]
-    for ours, theirs in zip(truncated_spans(sub, truncations),
-                            truncated_spans(labelled, truncations)):
-        assert [(e.label, e.poly) for e in ours] == [(e.label, e.poly) for e in theirs]
-    ours, theirs = (IdealSequence.compute(s, truncations).ideals for s in (sub, labelled))
-    assert [m.generators for m in ours] == [m.generators for m in theirs]
+    for trunc, span in zip(truncations, truncated_spans(sub, truncations)):
+        assert [(e.label, e.poly) for e in span] == _reference_span(sub, trunc), trunc
+    plain = _without_torus(sub)
+    sequence = IdealSequence.compute(sub, truncations)
+    for nu, trunc in enumerate(truncations):
+        assert sequence[nu].equals(compute_m_nu(plain, nu, trunc))
 
 
 def test_exponent_generators_are_checked_at_construction(monkeypatch):
@@ -96,7 +91,7 @@ def test_exponent_generators_are_checked_at_construction(monkeypatch):
     def subalgebra(*exponents):
         return FilteredSubalgebra(ring, sl2_derivation(), ("x", "y"),
                                   MonomialGenerators(ring.variables, exponents),
-                                  module_spanning=True, torus=sl2_torus())
+                                  torus=sl2_torus())
 
     with pytest.raises(InputError, match=r"x\*v is not a normal form"):
         subalgebra((1, 0, 0, 0), (1, 0, 0, 1))
@@ -140,6 +135,12 @@ def test_torus_is_checked_at_construction():
     doubled = (sl2_torus()[0], sl2_torus()[0])
     with pytest.raises(InputError, match="dependent"):
         FilteredSubalgebra(ring, derivation, ("x", "y"), {"u": u}, torus=doubled)
+    # a valid torus of O(SL2) that keeps D homogeneous, but whose base weights
+    # have determinant 2: its blocks would need fractional base exponents
+    doubled_x = (Grading(ring, {"x": 2, "y": 0, "u": 0, "v": -2}), sl2_torus()[1])
+    assert [homogeneity_degree(derivation, g) for g in doubled_x] == [2, 1]
+    with pytest.raises(InputError, match="not unimodular"):
+        FilteredSubalgebra(ring, derivation, ("x", "y"), {"u": u}, torus=doubled_x)
     with pytest.raises(InputError, match="two gradings"):
         FilteredSubalgebra(ring, derivation, ("x", "y"), {"u": u}, torus=sl2_torus()[:1])
     # without a torus the same generator is accepted, and kept on the kernel path
@@ -154,10 +155,8 @@ def test_block_path_skips_covered_blocks():
     for torus in (sl2_torus(), None):
         fresh = Derivation(ring, {"u": ring.var("x"), "v": ring.var("y")})
         truncations = [family2_truncation(3, 2, nu) for nu in range(4)]
-        gens = family2_nonnegative_generators(3, 2, truncations[-1].degree)
-        gens.pop("1")
-        sub = FilteredSubalgebra(ring, fresh, ("x", "y"), gens, module_spanning=True,
-                                 torus=torus)
+        gens = family2_subalgebra(3, 2, truncations[-1].degree).generators
+        sub = FilteredSubalgebra(ring, fresh, ("x", "y"), gens, torus=torus)
         IdealSequence.compute(sub, truncations)
         rows.append(len(fresh._rows))
     blocks, kernel = rows
@@ -209,23 +208,46 @@ def test_family2_builds_only_visited_generators(monkeypatch):
 
     monkeypatch.setattr(PresentedRing, "normal_form", counting)
     monkeypatch.setattr(gaext.filtered, "monomial_label", labelling)
-    sub = FilteredSubalgebra(ring, fresh, ("x", "y"), gens, module_spanning=True,
-                             torus=sl2_torus())
+    sub = FilteredSubalgebra(ring, fresh, ("x", "y"), gens, torus=sl2_torus())
     IdealSequence.compute(sub, truncations)
     assert len(gens) == 7517
     assert len(calls) < 300
     assert 0 < len(labels) < 300
 
 
-def test_block_path_rejects_an_image_off_its_target():
-    """A caller's span element that is not bihomogeneous has a D^nu image
-    off its block's base monomial: an error on the block path, where the
-    kernel path keeps the image as a generator."""
-    sub = sl2_subalgebra()
-    ring = sub.ambient
-    mixed = [SpanElement("u*y+v", ring.var("u") * ring.var("y") + ring.var("v"))]
-    trunc = TruncationParams(1, 2)
-    with pytest.raises(StructuralError, match="escapes the base ring"):
-        compute_m_nu(sub, 1, trunc, mixed)
-    kernel = compute_m_nu(_without_torus(sub), 1, trunc, mixed)
-    assert kernel.generators == [parse("x*y + y", ("x", "y"))]
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_visit_order_within_a_degree_does_not_matter(case, monkeypatch):
+    """Blocks come by target degree only: reversing the visit order within
+    each degree leaves every m_nu unchanged, generator for generator."""
+    sub, truncations = CASES[case]()
+    ideals = IdealSequence.compute(sub, truncations).ideals
+    original = FilteredSubalgebra._blocks
+    moved = []
+
+    def reversed_within_degree(self, keys, nu):
+        # a stable sort of the reversed list reverses each degree's blocks
+        blocks = original(self, keys, nu)
+        out = sorted(reversed(blocks), key=lambda entry: sum(entry[0]))
+        moved.append(out != blocks)
+        return out
+
+    monkeypatch.setattr(FilteredSubalgebra, "_blocks", reversed_within_degree)
+    reversed_ideals = IdealSequence.compute(sub, truncations).ideals
+    assert any(moved)
+    assert [m.generators for m in reversed_ideals] == [m.generators for m in ideals]
+
+
+def test_both_paths_reject_an_escaping_image():
+    """On Q[x,y,u,w] with D(u) = x, the kernel of D is larger than Q[x,y]:
+    D(u*w) = x*w is an m_1 image outside the base ring, an error with the
+    torus and without it."""
+    ring = PresentedRing(("x", "y", "u", "w"))
+    derivation = Derivation(ring, {"u": ring.var("x")})
+    torus = (Grading(ring, {"x": 1, "y": 0, "u": 0, "w": 0}),
+             Grading(ring, {"x": 0, "y": 1, "u": 0, "w": 1}))
+    for t in (torus, None):
+        sub = FilteredSubalgebra(ring, derivation, ("x", "y"), {"uw": ring.parse("u*w")},
+                                 torus=t)
+        assert compute_m_nu(sub, 0, TruncationParams(1, 2)).is_unit()
+        with pytest.raises(StructuralError, match="escapes the base ring"):
+            compute_m_nu(sub, 1, TruncationParams(1, 2))
