@@ -2,24 +2,12 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial
 from typing import Mapping
 
 from .groebner import InputError, PresentedRing
-from .poly import Polynomial, StructuralError, add_terms
+from .poly import Polynomial, StructuralError, add_terms, divide
 from .report import Undecided
-
-
-def _integral(terms: dict) -> dict:
-    """Terms with each coefficient of denominator 1 as an ``int``."""
-    return {e: c.numerator if c.denominator == 1 else c for e, c in terms.items()}
-
-
-def _polynomial(variables: tuple, terms: dict) -> Polynomial:
-    """The polynomial of nonzero terms, with every coefficient a ``Fraction``."""
-    return Polynomial._of(variables, {e: c if type(c) is Fraction else Fraction(c)
-                                      for e, c in terms.items()})
 
 
 class Derivation:
@@ -52,8 +40,7 @@ class Derivation:
         self._leibniz = tuple((i, imgs[name].terms)
                               for i, name in enumerate(ring.variables)
                               if not imgs[name].is_zero())
-        # exponents -> terms of D(monomial) in normal form, integral
-        # coefficients as int, filled on first use
+        # exponents -> terms of D(monomial) in normal form, filled on first use
         self._rows: dict = {}
         for rel in ring.relations:
             if not self._apply_raw(rel) in ring.relation_ideal:
@@ -82,24 +69,23 @@ class Derivation:
     def apply_terms(self, terms: dict) -> dict:
         """The terms of D(f) in normal form, from the terms of f.
 
-        Only products and sums of the coefficients with table rows happen
-        here, so integer coefficients stay ``int``.
+        Coefficients meet the table rows only through products and sums, so
+        integral coefficients stay ``int``.
         """
         rows = self._rows
         out: dict = {}
         for exps, c in terms.items():
             row = rows.get(exps)
             if row is None:
-                monomial = Polynomial._of(self.ring.variables, {exps: Fraction(1)})
-                row = self.ring.normal_form(self._apply_raw(monomial))
-                row = rows[exps] = _integral(row.terms)
+                monomial = Polynomial._of(self.ring.variables, {exps: 1})
+                row = rows[exps] = self.ring.normal_form(self._apply_raw(monomial)).terms
             add_terms(out, row, c)
         return out
 
     def __call__(self, f: Polynomial) -> Polynomial:
         if f.variables != self.ring.variables:
             raise StructuralError("argument outside the derivation's ring")
-        return _polynomial(f.variables, self.apply_terms(f.terms))
+        return Polynomial._of(f.variables, self.apply_terms(f.terms))
 
     def _chain(self, f: Polynomial, bound: int | None):
         """[f, D f, ..., D^nu f] in normal form, up to the last nonzero iterate,
@@ -133,7 +119,7 @@ class Derivation:
         if not chain:
             return (-1, self.ring.zero())
         nu = len(chain) - 1
-        return (nu, chain[-1] / Fraction(factorial(nu)))
+        return (nu, chain[-1] * divide(1, factorial(nu)))
 
 
 class Grading:
@@ -148,7 +134,10 @@ class Grading:
         missing = set(ring.variables) - set(weights)
         if missing:
             raise StructuralError(f"no weight for variables: {sorted(missing)}")
-        self.weights = {n: int(weights[n]) for n in ring.variables}
+        self.weights = {n: weights[n] for n in ring.variables}
+        for name, w in self.weights.items():
+            if not isinstance(w, int):
+                raise InputError(f"weight {w!r} of {name} is not an int")
         for rel in ring.relations:
             rel_weights = self.weight_range(rel)
             if rel_weights and rel_weights[0] != rel_weights[1]:

@@ -38,14 +38,14 @@ from __future__ import annotations
 import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from fractions import Fraction
 from operator import itemgetter, le, mul
 from typing import Sequence
 
-from .derivation import Derivation, Grading, _integral, _polynomial, homogeneity_degree
+from .derivation import Derivation, Grading, homogeneity_degree
 from .groebner import Ideal, InputError, PresentedRing
 from .linalg import Echelon
-from .poly import Polynomial, StructuralError, add_terms, monomial_key, monomial_label
+from .poly import (Polynomial, StructuralError, add_terms, divide, monomial_key,
+                   monomial_label)
 from .report import Member, Report, Undecided
 
 
@@ -102,7 +102,7 @@ class MonomialGenerators(Mapping):
     def entry(self, exps: tuple) -> tuple:
         """(label, polynomial) of one exponent tuple."""
         return (monomial_label(self.variables, exps),
-                Polynomial._of(self.variables, {exps: Fraction(1)}))
+                Polynomial._of(self.variables, {exps: 1}))
 
     def __getitem__(self, label: str) -> Polynomial:
         if self._by_label is None:
@@ -415,7 +415,7 @@ def _span_entry(mlab: str, wlab: str, poly: Polynomial) -> tuple:
     # scalar multiples share a lead, so dividing by its coefficient
     # makes one key per scalar class
     canon = frozenset(poly.terms.items() if c == 1
-                      else ((e, k / c) for e, k in poly.terms.items()))
+                      else ((e, divide(k, c)) for e, k in poly.terms.items()))
     if mlab == "1":
         label = wlab
     elif wlab == "1":
@@ -508,7 +508,7 @@ def _kernel_images(derivation: Derivation, nu: int, elements: list):
     echelon = Echelon(variables)
     level_images = []  # span index -> terms of D^nu of the element
     for idx, el in enumerate(elements):
-        g = _integral(el.poly.terms)
+        g = el.poly.terms
         for _ in range(nu):
             if not g:
                 break
@@ -516,16 +516,16 @@ def _kernel_images(derivation: Derivation, nu: int, elements: list):
         level_images.append(g)
         top = apply(g)
         if not top:
-            combo = {idx: Fraction(1)}
+            combo = {idx: 1}
         else:
-            combo = echelon.insert(_polynomial(variables, top), idx)
+            combo = echelon.insert(Polynomial._of(variables, top), idx)
             if combo is None:
                 continue
         terms: dict = {}  # normal forms span normal forms
         for i, c in combo.items():
             add_terms(terms, level_images[i], c)
         if terms:
-            yield _polynomial(variables, terms)
+            yield Polynomial._of(variables, terms)
 
 
 def compute_m_nu(subalgebra: FilteredSubalgebra, nu: int,

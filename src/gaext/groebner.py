@@ -7,12 +7,11 @@ handled here (defining relations, monomial staircases, blowup charts).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from math import gcd
 from typing import Iterable, Sequence
 
-from .poly import Polynomial, StructuralError, add_terms, monomial_key
+from .poly import Polynomial, StructuralError, add_terms, divide, monomial_key
 from .report import Undecided
 
 
@@ -61,7 +60,7 @@ def reduce_poly(f: Polynomial, basis: Sequence[Polynomial],
         for (lt_exps, lt_c), g in lts:
             if _divides(lt_exps, exps):
                 # cancels the term at exps exactly, leaving only smaller ones
-                add_terms(work, g.terms, -coeff / lt_c, _exp_sub(exps, lt_exps))
+                add_terms(work, g.terms, divide(-coeff, lt_c), _exp_sub(exps, lt_exps))
                 break
         else:
             remainder[exps] = coeff
@@ -73,8 +72,8 @@ def _s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     (ef, cf) = f.leading_term()
     (eg, cg) = g.leading_term()
     l = _exp_lcm(ef, eg)
-    mf = Polynomial(f.variables, {_exp_sub(l, ef): Fraction(1) / cf})
-    mg = Polynomial(g.variables, {_exp_sub(l, eg): Fraction(1) / cg})
+    mf = Polynomial(f.variables, {_exp_sub(l, ef): divide(1, cf)})
+    mg = Polynomial(g.variables, {_exp_sub(l, eg): divide(1, cg)})
     return mf * f - mg * g
 
 
@@ -231,7 +230,7 @@ class Ideal:
         if self._staircase is not None and other._staircase is not None:
             exps = _minimal_exponents(tuple(a + b for a, b in zip(e, f))
                                       for e in self._staircase for f in other._staircase)
-            gens = [Polynomial(self.variables, {e: Fraction(1)}) for e in exps]
+            gens = [Polynomial(self.variables, {e: 1}) for e in exps]
         else:
             gens = [f * g for f in self.generators for g in other.generators]
         return Ideal(gens, variables=self.variables)
@@ -370,7 +369,7 @@ def weighted_monomial_ideal(p: int, q: int, nu: int,
         if beta == 0:
             break
         alpha += 1
-    gens = [Polynomial(variables, {e: Fraction(1)}) for e in _minimal_exponents(candidates)]
+    gens = [Polynomial(variables, {e: 1}) for e in _minimal_exponents(candidates)]
     return Ideal(gens, variables=variables)
 
 

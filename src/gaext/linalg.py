@@ -13,10 +13,9 @@ call updates the tag combination.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional
 
-from .poly import Polynomial, StructuralError, add_terms, monomial_key
+from .poly import Polynomial, StructuralError, add_terms, divide, monomial_key
 
 
 class Echelon:
@@ -31,7 +30,7 @@ class Echelon:
     def __init__(self, variables):
         self.variables = tuple(variables)
         self.rows: dict = {}      # lead exponent -> reduced Polynomial
-        self.combos: dict = {}    # lead exponent -> {tag: Fraction} giving that row
+        self.combos: dict = {}    # lead exponent -> {tag: coefficient} giving that row
 
     def __len__(self):
         return len(self.rows)
@@ -43,7 +42,7 @@ class Echelon:
             row = self.rows.get(lead)
             if row is None:
                 break
-            factor = -work[lead] / row.terms[lead]
+            factor = divide(-work[lead], row.terms[lead])
             add_terms(work, row.terms, factor)  # cancels the term at lead
             add_terms(combo, self.combos[lead], factor)
         else:
@@ -58,7 +57,7 @@ class Echelon:
         """
         if vec.variables != self.variables:
             raise StructuralError("row outside the echelon's variable tuple")
-        residual, combo, lead = self._reduce(vec, {tag: Fraction(1)})
+        residual, combo, lead = self._reduce(vec, {tag: 1})
         if lead is None:
             return combo
         self.rows[lead] = residual

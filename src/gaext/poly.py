@@ -3,8 +3,11 @@
 The polynomial is the universal carrier for everything in this package:
 presented rings, derivations, filtration engines and the chart rewriter all
 work with the same representation.  A polynomial is a map from exponent
-vectors (aligned with a fixed tuple of variable names) to nonzero Fractions.
-All arithmetic is exact; no floating point appears anywhere.
+vectors (aligned with a fixed tuple of variable names) to nonzero ``int``
+or ``Fraction`` coefficients.  Coefficients meet only through + and * and
+through ``divide``, the one place where a coefficient is divided or
+normalised, so integral input stays ``int``.  All arithmetic is exact; no
+floating point appears anywhere.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ class StructuralError(ValueError):
 
 
 Exponents = tuple  # tuple[int, ...], aligned with a variable tuple
-Coefficient = Fraction
+Coefficient = int | Fraction
 
 #: Bottom element of the bidegree order.  The empty tuple compares below
 #: every pair under Python's lexicographic tuple order, which is exactly
@@ -35,6 +38,13 @@ def monomial_key(exps: Exponents) -> tuple:
     variable tuple, the first variable most significant.
     """
     return (sum(exps),) + exps
+
+
+def divide(a: Coefficient, b: Coefficient = 1) -> Coefficient:
+    """The exact quotient a / b, an ``int`` when its denominator is 1: the one
+    place where a coefficient is divided (``int / int`` would be a float)."""
+    q = Fraction(a, b)
+    return q.numerator if q.denominator == 1 else q
 
 
 def add_terms(out: dict, terms: Mapping, c=1, shift: Exponents | None = None) -> dict:
@@ -83,21 +93,22 @@ class Polynomial:
         clean = {}
         n = len(self.variables)
         for exps, c in terms.items():
-            c = Fraction(c)
+            if not isinstance(c, (int, Fraction)):
+                raise StructuralError(f"coefficient {c!r} is not an int or a Fraction")
             if c == 0:
                 continue
             exps = tuple(exps)
-            if len(exps) != n or any(e < 0 for e in exps):
+            if len(exps) != n or any(not isinstance(e, int) or e < 0 for e in exps):
                 raise StructuralError(f"bad exponent vector {exps} for {self.variables}")
-            clean[exps] = clean.get(exps, Fraction(0)) + c
-        self.terms = {e: c for e, c in clean.items() if c != 0}
+            clean[exps] = clean.get(exps, 0) + c
+        self.terms = {e: divide(c) for e, c in clean.items() if c != 0}
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def _of(cls, variables: tuple, terms: dict) -> "Polynomial":
         """Trusted constructor: terms already map exponent tuples of the right
-        length to nonzero Fractions, and the polynomial takes the dict over."""
+        length to nonzero coefficients, and the polynomial takes the dict over."""
         out = cls.__new__(cls)
         out.variables = variables
         out.terms = terms
@@ -110,7 +121,7 @@ class Polynomial:
     @classmethod
     def constant(cls, c, variables) -> "Polynomial":
         variables = tuple(variables)
-        return cls(variables, {(0,) * len(variables): Fraction(c)})
+        return cls(variables, {(0,) * len(variables): c})
 
     @classmethod
     def variable(cls, name: str, variables) -> "Polynomial":
@@ -118,7 +129,7 @@ class Polynomial:
         if name not in variables:
             raise StructuralError(f"{name!r} is not among {variables}")
         exps = tuple(1 if v == name else 0 for v in variables)
-        return cls(variables, {exps: Fraction(1)})
+        return cls(variables, {exps: 1})
 
     @classmethod
     def one(cls, variables) -> "Polynomial":
@@ -132,9 +143,9 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(not any(e) for e in self.terms)
 
-    def constant_term(self) -> Fraction:
+    def constant_term(self) -> Coefficient:
         zero = (0,) * len(self.variables)
-        return self.terms.get(zero, Fraction(0))
+        return self.terms.get(zero, 0)
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -158,7 +169,7 @@ class Polynomial:
         exps = max(self.terms, key=monomial_key)
         return exps, self.terms[exps]
 
-    def leading_coefficient(self) -> Fraction:
+    def leading_coefficient(self) -> Coefficient:
         return self.leading_term()[1]
 
     def used_variables(self) -> set:
@@ -198,7 +209,7 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return Polynomial._of(self.variables,
-                                  add_terms({}, self.terms, Fraction(other)))
+                                  add_terms({}, self.terms, other))
         self._check_compatible(other)
         terms: dict = {}
         for e, c in self.terms.items():
@@ -212,7 +223,10 @@ class Polynomial:
         return Polynomial._of(self.variables, add_terms({}, self.terms, 1, exps))
 
     def __truediv__(self, c):
-        return self * (Fraction(1) / Fraction(c))
+        if not c:
+            raise ZeroDivisionError("polynomial division by zero")
+        return Polynomial._of(self.variables,
+                              {e: divide(k, c) for e, k in self.terms.items()})
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:

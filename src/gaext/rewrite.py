@@ -12,12 +12,11 @@ certificate of non-membership.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
 from .groebner import InputError
-from .poly import BIDEG_BOTTOM, Polynomial, bidegree
+from .poly import BIDEG_BOTTOM, Coefficient, Polynomial, bidegree
 from .report import FAIL, PASS, Member, NotMember, Undecided, status_of
 
 CHART_VARS = ("t", "v", "u")
@@ -75,7 +74,7 @@ class RewriteTrace:
         return out
 
 
-def _term_str(coeff: Fraction, exps: tuple) -> str:
+def _term_str(coeff: Coefficient, exps: tuple) -> str:
     mono = Polynomial(CHART_VARS, {exps: coeff})
     return str(mono)
 

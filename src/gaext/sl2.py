@@ -9,7 +9,6 @@ grading.  Each verify_* operation returns a deterministic report.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -61,7 +60,7 @@ def sl2_subalgebra() -> FilteredSubalgebra:
 def base_power_ideal(k: int) -> Ideal:
     """The k-th power of <x, y> in Q[x, y]."""
     variables = ("x", "y")
-    gens = [Polynomial(variables, {(k - i, i): Fraction(1)}) for i in range(k + 1)]
+    gens = [Polynomial(variables, {(k - i, i): 1}) for i in range(k + 1)]
     if k == 0:
         return Ideal([Polynomial.one(variables)], variables=variables)
     return Ideal(gens, variables=variables)
@@ -213,7 +212,7 @@ def verify_family1(n: int, nu_max: int, bounds=as_is) -> Report:
     fixed = fixed_locus_ideal(d_gen)
     k = n + 2
     expected_fixed = Ideal(
-        [Polynomial(gen_vars, {(k - i, i) + (0,) * (len(gen_vars) - 2): Fraction(1)})
+        [Polynomial(gen_vars, {(k - i, i) + (0,) * (len(gen_vars) - 2): 1})
          for i in range(k + 1)],
         variables=gen_vars)
     report.add("fixed-locus", fixed.equals(expected_fixed), (("n", n),),
@@ -331,7 +330,7 @@ def verify_family2(p: int, q: int, nu_max: int, bounds=as_is) -> Report:
     if (p, q) == (2, 1) and nu_max >= 2:
         # both checks compare truncated lower bounds, so they decide nothing
         # until the levels they read have reached their expected ideals
-        x3 = Polynomial(("x", "y"), {(3, 0): Fraction(1)})
+        x3 = Polynomial(("x", "y"), {(3, 0): 1})
         m1_squared = sequence[1] * sequence[1]
         in_m2 = x3 in sequence[2]
         in_m1_sq = x3 in m1_squared
@@ -378,7 +377,7 @@ def _glue_substitution(n: int, sign: int) -> dict:
     ring = localized_ring()
     z, zi, u, v = ring.gens()
     return {"z": zi, "zi": z,
-            "u": z ** (n + 2) * u + Fraction(sign) * z ** (n + 1) * v ** n,
+            "u": z ** (n + 2) * u + sign * z ** (n + 1) * v ** n,
             "v": z * v}
 
 

@@ -9,7 +9,6 @@ the plane; otherwise it is of the first kind.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .derivation import Derivation
 from .filtered import (FilteredSubalgebra, IdealSequence, TruncationParams,

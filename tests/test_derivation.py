@@ -122,3 +122,13 @@ def test_grading_rejects_inhomogeneous_relations():
     with pytest.raises(InputError):
         Grading(ring, {"a": 1, "b": 1})
     Grading(ring, {"a": 1, "b": 2})  # consistent weights are accepted
+
+
+def test_grading_rejects_non_integer_weights():
+    ring, _ = sl2()
+    # int() would truncate these to the weights (1, 0, 0, -1)
+    with pytest.raises(InputError, match="not an int"):
+        Grading(ring, {"x": 1.5, "y": 0.5, "u": -0.5, "v": -1.5})
+    with pytest.raises(InputError, match="not an int"):
+        Grading(ring, {"x": Fraction(1), "y": 0, "u": 0, "v": -1})
+    assert Grading(ring, {"x": 1, "y": 0, "u": 0, "v": -1}).weights["v"] == -1

@@ -7,13 +7,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gaext
 from gaext.groebner import reduce_poly
 from gaext.linalg import Echelon
 from gaext.poly import (BIDEG_BOTTOM, Polynomial,
-                        StructuralError, add_terms, bidegree,
+                        StructuralError, add_terms, bidegree, divide,
                         parse, ring)
+from gaext.sl2 import sl2_derivation, sl2_ring
 
 XY = ("x", "y")
 XYUV = ("x", "y", "u", "v")
@@ -35,6 +37,8 @@ def test_zero_handling():
     x, _ = ring("x y")
     assert (x * 0).is_zero()
     assert (z * x).is_zero()
+    with pytest.raises(ZeroDivisionError):
+        z / 0
 
 
 def test_pow():
@@ -172,26 +176,78 @@ def test_add_terms_cancels_to_empty_and_keeps_new_coefficients():
     assert add_terms({(1, 1): 1}, {(0, 0): 1}, -1, (1, 1)) == {}
 
 
-def test_arithmetic_results_hold_only_nonzero_fractions():
-    x, y = ring("x y")
-    a, b = ring("a b")
-    f = x * y + 1 - y ** 2 * Fraction(3, 2)
-    g = x - 1
-    echelon = Echelon(XY)
-    for tag, row in enumerate((x * y - y, y ** 2 + x, x + 1)):
-        echelon.insert(row, tag)
-    residual, combo = echelon.reduce(f * g + 7)
-    assert all(type(c) is Fraction and c != 0 for c in combo.values())
-    results = [f + g, f - g, f - f, -f, f * g, f * 3, g * g, (f + 1) * (g - x),
-               f.times_monomial((1, 2)), f ** 2,
-               # constant terms with coefficient 1 keep their Fraction
-               (x + 1).substitute({"x": a * b, "y": a}),
-               Polynomial.one(XY).substitute({"x": a, "y": b}),
-               f.substitute({"x": a - 1, "y": b + 1}),
-               reduce_poly(f * g + x, [x * y - 1, y ** 2]),
-               residual]
-    for h in results:
-        assert all(type(c) is Fraction and c != 0 for c in h.terms.values()), h
+def _exact(coefficients) -> bool:
+    return all(type(c) in (int, Fraction) and c != 0 for c in coefficients)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.booleans(), st.data())
+def test_arithmetic_keeps_coefficients_exact(integral, data):
+    """int inputs give int results under +, -, *, **, substitute, normal_form,
+    D and reduction by a monic basis; any input gives nonzero int or Fraction
+    coefficients, never a float, under /, monic, reduce_poly and Echelon."""
+    coefficients = st.integers(-5, 5)
+    if not integral:
+        coefficients = st.one_of(coefficients, st.fractions(-5, 5, max_denominator=6))
+
+    def draw(variables):
+        exps = st.tuples(*[st.integers(0, 2)] * len(variables))
+        return Polynomial(variables, data.draw(st.dictionaries(exps, coefficients, max_size=4)))
+
+    f, g = draw(XYUV), draw(XYUV)
+    c = data.draw(coefficients.filter(bool))
+    monic_basis = []
+    for h in (draw(XYUV), draw(XYUV)):
+        if h.terms:
+            lead, lc = h.leading_term()
+            monic_basis.append(h + Polynomial(XYUV, {lead: 1 - lc}))
+    sl2 = sl2_ring()
+    closed = [f + g, f - g, -f, f * g, f * c, (f * c) / c, f ** data.draw(st.integers(0, 3)),
+              f.substitute({v: draw(("a", "b")) for v in XYUV}),
+              sl2.normal_form(f), sl2_derivation()(f), reduce_poly(f * g, monic_basis)]
+    for h in closed:
+        assert (all(type(k) is int for k in h.terms.values()) if integral
+                else _exact(h.terms.values())), h
+
+    echelon = Echelon(XYUV)
+    combos = [echelon.insert(h, tag) for tag, h in enumerate((f, g, f + g, f * g))]
+    residual, combo = echelon.reduce(f * g + g)
+    divided = [f / c, f.monic(), reduce_poly(f * g, [h for h in (f, g) if h.terms]), residual,
+               *echelon.rows.values()]
+    for h in divided:
+        assert _exact(h.terms.values()), h
+    for d in [combo, *echelon.combos.values(), *(d for d in combos if d)]:
+        assert _exact(d.values()), d
+
+
+def test_validating_constructor_rejects_inexact_input():
+    with pytest.raises(StructuralError):
+        Polynomial(("x",), {(1,): 0.1})
+    with pytest.raises(StructuralError):
+        Polynomial(("x",), {(2.0,): 1})
+    with pytest.raises(StructuralError):
+        Polynomial(("x",), {(1,): "1/2"})
+    with pytest.raises(StructuralError):
+        Polynomial.constant(0.5, ("x",))
+    # an integral quotient or Fraction is stored as an int
+    quotients = [divide(4, 2), divide(Fraction(3, 2), Fraction(3, 4)), divide(Fraction(6, 3))]
+    assert quotients == [2, 2, 2] and all(type(q) is int for q in quotients)
+    assert divide(2, 4) == Fraction(1, 2) and divide(-1, Fraction(-2, 3)) == Fraction(3, 2)
+    assert type(Polynomial(("x",), {(1,): Fraction(4, 2)}).terms[(1,)]) is int
+    assert all(type(c) is int for c in parse("4/2*x - 3*y + 1", XY).terms.values())
+
+
+def test_only_poly_divides():
+    """No module but poly.py divides with /: every other coefficient quotient
+    goes through poly.divide, so int / int never makes a float."""
+    offenders = []
+    for path in sorted(pathlib.Path(gaext.__file__).parent.glob("*.py")):
+        if path.name == "poly.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
 
 
 def test_only_poly_builds_unvalidated_polynomials():
