@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import factorial
 from typing import Mapping
 
@@ -70,7 +71,8 @@ class Derivation:
         """The terms of D(f) in normal form, from the terms of f.
 
         Coefficients meet the table rows only through products and sums, so
-        integral coefficients stay ``int``.
+        integral coefficients stay ``int``.  A row is stored with every
+        integral coefficient as an ``int``, whatever products made it.
         """
         rows = self._rows
         out: dict = {}
@@ -78,7 +80,11 @@ class Derivation:
             row = rows.get(exps)
             if row is None:
                 monomial = Polynomial._of(self.ring.variables, {exps: 1})
-                row = rows[exps] = self.ring.normal_form(self._apply_raw(monomial)).terms
+                row = self.ring.normal_form(self._apply_raw(monomial)).terms
+                if any(type(k) is Fraction for k in row.values()):
+                    # D(t^2) = t*x from D(t) = x/2 has 2*(1/2) = Fraction(1)
+                    row = {e: divide(k) for e, k in row.items()}
+                rows[exps] = row
             add_terms(out, row, c)
         return out
 

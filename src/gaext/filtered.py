@@ -27,10 +27,14 @@ the kernel of D^(nu+1) on it.
 
 Generators that are monic monomials and, together with 1, span the
 subalgebra linearly, as family two's do, come as exponent tuples
-(``MonomialGenerators``).  Construction then checks each tuple for a normal
-form without building it, the span is 1 and the generators themselves,
-each filed by the block its exponents name, and only the generators of
-visited blocks get a label and a polynomial.
+(``MonomialGenerators``), either listed or declared by torus block: the
+keys of the blocks that hold a generator, and per key a function that
+makes the block's tuples.  The span is then 1 and the generators
+themselves.  Listed tuples are checked for a normal form at construction
+and filed by the block their exponents name; a declared block makes and
+checks its tuples only when a span first reads it, so a sequence files
+no tuple, and only the generators of visited blocks are made, labelled
+and turned into polynomials.
 """
 
 from __future__ import annotations
@@ -81,7 +85,7 @@ class SpanElement:
 
 class MonomialGenerators(Mapping):
     """Monic monomial generators given by exponent tuples, read as a mapping
-    from label to ``Polynomial`` in the order of the tuples.
+    from label to ``Polynomial``.
 
     Passing them declares that they and 1 span the subalgebra linearly up to
     any degree bound: every product of base monomials and generators of
@@ -89,15 +93,38 @@ class MonomialGenerators(Mapping):
     most d.  A span then holds no base monomial but 1 and no word of two or
     more generators, which would only add dependent products.
 
+    They are listed or declared by torus block.  Listed ``exponents`` read
+    in the order given and are all checked when the subalgebra is built.
+    Declared by block, ``block_keys`` names the torus blocks that hold a
+    generator and ``block(key)`` makes one block's exponent tuples; a span
+    makes and checks a block's tuples only when it first reads the block,
+    so no tuple of an unread block is ever made.  Such generators read by
+    total degree, then by descending exponents.
+
     A tuple's ``monomial_label`` and polynomial are built only when its
-    entry is read, so a subalgebra can file thousands of such generators by
-    torus block and build only those of the blocks it visits.
+    entry is read, so a subalgebra can hold thousands of such generators
+    and build only those of the blocks it visits.
     """
 
-    def __init__(self, variables: Sequence[str], exponents):
+    def __init__(self, variables: Sequence[str], exponents=None, *, block_keys=(), block=None):
+        if (exponents is None) == (block is None):
+            raise StructuralError("monomial generators are listed or declared by block")
         self.variables = tuple(variables)
-        self.exponents = tuple(exponents)
+        self.listed = block is None
+        self.block_keys = tuple(block_keys)
+        self.block = block
+        self._exponents = None if exponents is None else tuple(exponents)
         self._by_label = None  # label -> exponents, made on the first lookup
+
+    @property
+    def exponents(self) -> tuple:
+        """Every exponent tuple, in reading order; for a declaration by
+        block, made from all of its blocks."""
+        if self._exponents is None:
+            self._exponents = tuple(sorted(
+                itertools.chain.from_iterable(map(self.block, self.block_keys)),
+                key=lambda e: (sum(e), tuple(-k for k in e))))
+        return self._exponents
 
     def entry(self, exps: tuple) -> tuple:
         """(label, polynomial) of one exponent tuple."""
@@ -116,14 +143,12 @@ class MonomialGenerators(Mapping):
         return len(self.exponents)
 
 
-def _check_normal_monomials(ambient: PresentedRing, generators: MonomialGenerators):
+def _check_normal_monomials(ambient: PresentedRing, exps: tuple, key=None, bidegree=None):
     """Raise ``InputError`` unless every exponent tuple is distinct and names
     a nonconstant monomial of the ambient ring that no leading monomial of
-    its relation basis divides, that is, a nonzero normal form."""
-    if generators.variables != ambient.variables:
-        raise StructuralError("generators outside the ring's variables")
+    its relation basis divides, that is, a nonzero normal form, and, given
+    a ``bidegree`` function, lies in the torus block ``key``."""
     n = len(ambient.variables)
-    exps = generators.exponents
     if not set(map(type, itertools.chain.from_iterable(exps))) <= {int}:
         raise InputError("generator exponents must be integers")
     leads = [g.leading_term()[0] for g in ambient.relation_ideal.groebner_basis()]
@@ -136,6 +161,9 @@ def _check_normal_monomials(ambient: PresentedRing, generators: MonomialGenerato
             if all(map(le, lead, e)):
                 raise InputError(f"generator {monomial_label(ambient.variables, e)} "
                                  "is not a normal form")
+        if bidegree is not None and bidegree(e) != key:
+            raise InputError(f"generator {monomial_label(ambient.variables, e)} "
+                             f"is not in torus block {key}")
     if len(set(exps)) != len(exps):
         raise InputError("a generator is repeated")
 
@@ -156,8 +184,10 @@ class FilteredSubalgebra:
     ``generators`` maps labels to polynomials, which are normal-formed and
     span the subalgebra as an algebra over the base ring, or is a
     ``MonomialGenerators``, whose exponent tuples must each name a
-    nonconstant monomial that is already a normal form; it is kept as
-    given, and no generator of it is built until a span reads it.
+    nonconstant monomial that is already a normal form, and, when declared
+    by block, lie in their block; it is kept as given, and no generator of
+    it is built until a span reads it.  Listed tuples are checked here,
+    those of a declared block when a span first reads the block.
     """
 
     def __init__(self, ambient: PresentedRing, derivation: Derivation,
@@ -174,7 +204,10 @@ class FilteredSubalgebra:
             if not derivation.images[name].is_zero():
                 raise InputError(f"base variable {name} is not a constant of the derivation")
         if isinstance(generators, MonomialGenerators):
-            _check_normal_monomials(ambient, generators)
+            if generators.variables != ambient.variables:
+                raise StructuralError("generators outside the ring's variables")
+            if generators.listed:
+                _check_normal_monomials(ambient, generators.exponents)
             gens = generators
         else:
             gens = {}
@@ -234,6 +267,33 @@ class FilteredSubalgebra:
         """The torus block of an ambient exponent tuple, as base exponents."""
         w1, w2 = self._block_weights
         return (sum(map(mul, exps, w1)), sum(map(mul, exps, w2)))
+
+    def _monomial_blocks(self) -> tuple:
+        """(keys, block) of ``MonomialGenerators``: the span blocks that hold
+        a generator, and a function that lists one block's exponent tuples.
+
+        Listed tuples, checked at construction, are filed by bidegree here.
+        A declared block is checked as it is listed; without a torus the
+        declared blocks make up the one block (0, 0).
+        """
+        gens = self.generators
+        if gens.listed:
+            filed: dict = {}
+            for e in gens.exponents:
+                filed.setdefault(self._bidegree(e), []).append(e)
+            return tuple(filed), filed.__getitem__
+        keys, listing = gens.block_keys, gens.block
+        if self.torus is None:
+            keys = ((0, 0),)
+
+            def listing(key):
+                return itertools.chain.from_iterable(map(gens.block, gens.block_keys))
+
+        def block(key):
+            exps = tuple(listing(key))
+            _check_normal_monomials(self.ambient, exps, key, self._bidegree)
+            return exps
+        return keys, block
 
     def _blocks(self, keys, nu: int) -> list:
         """((a, b), key) per torus block that can add to m_nu.
@@ -307,8 +367,7 @@ class FilteredSubalgebra:
 
 
 class _Candidates:
-    """The span candidates of several truncations, enumerated once and filed
-    by torus block.
+    """The span candidates of several truncations, filed by torus block.
 
     A candidate is a base monomial times a generator word, enumerated
     base-monomial-major, word-minor, at the largest bounds, and kept if some
@@ -320,12 +379,14 @@ class _Candidates:
     it, normal-forming each candidate at most once for all truncations.
 
     A subalgebra with ``MonomialGenerators`` has one base monomial, 1, and
-    words of at most one letter, so a candidate is 1 or a generator: it is
-    filed by its exponent tuple, and ``build`` makes its label and
-    polynomial.  Distinct monomials are never scalar multiples, so no block
-    holds duplicates, and a block's elements do not depend on the order of
-    its candidates, which here follows the exponent tuples instead of the
-    sorted labels.
+    words of at most one letter, so a candidate is 1 or a generator.  The
+    blocks are the keys of ``FilteredSubalgebra._monomial_blocks`` and
+    block (0, 0), which holds 1; no candidate is filed up front, and
+    ``build`` lists a block's generators the first time a level reads it,
+    then makes the label and polynomial of each one the level admits.  Distinct monomials
+    are never scalar multiples, so no block holds duplicates, and a block's
+    elements do not depend on the order of its candidates, which here
+    follows the declaration instead of the sorted labels.
     """
 
     def __init__(self, subalgebra: FilteredSubalgebra,
@@ -336,31 +397,38 @@ class _Candidates:
         top_degree = max(d for _, d in self.bounds)
         top_length = max(L for L, _ in self.bounds)
         self._products: dict = {}  # raw product's terms -> its normal form
-        bidegree = subalgebra._bidegree
+        # bidegree -> candidates; a monomial block's are None until listed
+        self.blocks: dict = {}
         if isinstance(self.generators, MonomialGenerators):
-            # (label, word, length, peak, bidegree); a generator's label waits for build
-            words = [("1", self.ambient.one(), 0, 0, 0, 0)]
-            if top_length:
-                words += [(None, e, 1, sum(e)) + bidegree(e)
-                          for e in self.generators.exponents]
-            bases = [("1", (0,) * len(self.ambient.variables), 0)]
-        else:
-            words = [w + bidegree(next(iter(w[1].terms)))
-                     for w in subalgebra._words(top_length, top_degree, self._products)]
-            bases = subalgebra._base_monomials(top_degree)
+            keys, self._listing = subalgebra._monomial_blocks() if top_length else ((), None)
+            self.blocks = dict.fromkeys(keys)
+            # the last slot caches the built product
+            self._one = ["1", None, "1", self.ambient.one(), 0, 0, None]
+            self.blocks.setdefault((0, 0), [self._one])
+            return
+        bidegree = subalgebra._bidegree
+        words = [w + bidegree(next(iter(w[1].terms)))
+                 for w in subalgebra._words(top_length, top_degree, self._products)]
         # the largest degree bound of a truncation that admits each word length
         caps = [max((d for L, d in self.bounds if L >= length), default=-1)
                 for length in range(max(w[2] for w in words) + 1)]
-        self.blocks: dict = {}  # bidegree -> candidates, in enumeration order
-        for mlab, mono, mdeg in bases:
+        for mlab, mono, mdeg in subalgebra._base_monomials(top_degree):
             m1, m2 = bidegree(mono)
             for wlab, word, length, peak, w1, w2 in words:
                 reach = max(mdeg, peak)
                 if reach > caps[length]:
                     continue
-                # the last slot caches the built product
+                # in enumeration order; the last slot caches the built product
                 self.blocks.setdefault((m1 + w1, m2 + w2), []).append(
                     [mlab, mono if mdeg else None, wlab, word, length, reach, None])
+
+    def _list(self, key) -> list:
+        """The candidates of a block of monomial generators: 1 in block
+        (0, 0), then each generator, whose label waits for ``build``."""
+        cands = [["1", None, None, e, 1, sum(e), None] for e in self._listing(key)]
+        if key == (0, 0):
+            cands.insert(0, self._one)
+        return cands
 
     def build(self, key, level: int) -> list:
         """(sort key, element) for the span elements of one block at
@@ -372,8 +440,11 @@ class _Candidates:
         of its elements.
         """
         L, d = self.bounds[level]
+        cands = self.blocks[key]
+        if cands is None:
+            cands = self.blocks[key] = self._list(key)
         seen = {}  # canonical form -> entry
-        for cand in self.blocks[key]:
+        for cand in cands:
             mlab, mono, wlab, word, length, reach, built = cand
             if length > L or reach > d:
                 continue

@@ -183,9 +183,14 @@ class Polynomial:
     # -- arithmetic ---------------------------------------------------
 
     def _check_compatible(self, other: "Polynomial"):
-        if self.variables != other.variables:
+        try:
+            variables = other.variables
+        except AttributeError:  # a float, a string: what the constructor rejects
+            raise StructuralError(f"operand {other!r} is not a Polynomial, "
+                                  "an int or a Fraction") from None
+        if self.variables != variables:
             raise StructuralError(
-                f"variable sets differ: {self.variables} vs {other.variables}")
+                f"variable sets differ: {self.variables} vs {variables}")
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -225,8 +230,11 @@ class Polynomial:
     def __truediv__(self, c):
         if not c:
             raise ZeroDivisionError("polynomial division by zero")
-        return Polynomial._of(self.variables,
-                              {e: divide(k, c) for e, k in self.terms.items()})
+        try:
+            return Polynomial._of(self.variables,
+                                  {e: divide(k, c) for e, k in self.terms.items()})
+        except TypeError:  # Fraction takes no float or string divisor
+            raise StructuralError(f"divisor {c!r} is not an int or a Fraction") from None
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:

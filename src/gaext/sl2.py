@@ -270,12 +270,37 @@ def family2_nonnegative_generators(p: int, q: int, degree: int) -> dict:
     return dict(map(gens.entry, gens.exponents))
 
 
+def family2_cone(p: int, q: int, degree: int) -> MonomialGenerators:
+    """The monomials of ``family2_exponents`` other than 1, declared by torus
+    block of ``sl2_torus``.
+
+    x^a y^b u^c v^e lies in block (k1, k2) = (a - e, b - c), of weight
+    p*k1 + q*k2, so a block's monomials all have nonnegative weight or none
+    does: the blocks kept are a cone.  A block's normal forms (a*e = 0) are
+    a = max(k1, 0), e = max(-k1, 0) and b = k2 + c for c >= max(0, -k2), of
+    degree |k1| + k2 + 2c, so the block holds one up to the degree bound
+    exactly when |k1| + |k2| <= degree.  Block (0, 0) holds 1, left out.
+    """
+    family2_weights(p, q)  # validates the weights
+    # block (0, 0) holds y^c*u^c, so a generator from degree 2 on
+    keys = [(k1, k2) for k1 in range(-degree, degree + 1)
+            for k2 in range(abs(k1) - degree, degree - abs(k1) + 1)
+            if p * k1 + q * k2 >= 0 and (k1 or k2 or degree >= 2)]
+
+    def block(key: tuple) -> list:
+        k1, k2 = key
+        a, e = max(k1, 0), max(-k1, 0)
+        first = 1 if key == (0, 0) else max(-k2, 0)
+        return [(a, k2 + c, c, e) for c in range(first, (degree - abs(k1) - k2) // 2 + 1)]
+    return MonomialGenerators(SL2_VARS, block_keys=keys, block=block)
+
+
 def family2_subalgebra(p: int, q: int, degree: int) -> FilteredSubalgebra:
-    """The nonnegative-weight monomials other than 1 as generators, passed by
-    exponents: with 1 they span the subalgebra linearly, and a span builds
-    only those of the blocks it reads."""
-    gens = MonomialGenerators(SL2_VARS, (e for e in family2_exponents(p, q, degree) if any(e)))
-    return FilteredSubalgebra(sl2_ring(), sl2_derivation(), ("x", "y"), gens, torus=sl2_torus())
+    """The nonnegative-weight monomials other than 1 as generators, declared
+    by torus block (``family2_cone``): with 1 they span the subalgebra
+    linearly, and a span makes only the monomials of the blocks it reads."""
+    return FilteredSubalgebra(sl2_ring(), sl2_derivation(), ("x", "y"),
+                              family2_cone(p, q, degree), torus=sl2_torus())
 
 
 def family2_truncation(p: int, q: int, nu: int) -> TruncationParams:

@@ -4,8 +4,10 @@ Each expected file under tests/flagged/ pins how flags, the scale and each
 suite's default bounds combine, and what a truncated shortfall prints.  One
 more file pins a deep run at default bounds, family 1 up to nu = 5, whose
 spans normal-form products up to the fifth power of the SL2 relation's tail,
-another the same at n = 3, and another family 2 at weights (3, 2) up to
-nu = 5, whose top span holds tens of thousands of elements.
+another the same at n = 3, another family 2 at weights (3, 2) up to
+nu = 5, whose top span holds tens of thousands of elements, another family 2
+at weights (5, 3) up to nu = 8, whose top span's degree bound is 132, and
+another the cross-family P(1,1) sequence up to nu = 8.
 """
 
 import pathlib
@@ -52,6 +54,12 @@ CASES = {
     # default bounds, deep: levels 0..5 of family 2 at weights (3, 2)
     "family2-p3q2-nu5": (
         None, ("verify", "family2", "--p", "3", "--q", "2", "--nu-max", "5"), EXIT_PASS),
+    # default bounds, deep: levels 0..8 of family 2 at weights (5, 3)
+    "family2-p5q3-nu8": (
+        None, ("verify", "family2", "--p", "5", "--q", "3", "--nu-max", "8"), EXIT_PASS),
+    # default bounds, deep: levels 0..8 of the cross-family P(1,1) sequence
+    "cross-family-nu8": (
+        None, ("verify", "cross-family", "--nu-max", "8"), EXIT_PASS),
 }
 
 

@@ -229,6 +229,12 @@ def test_validating_constructor_rejects_inexact_input():
         Polynomial(("x",), {(1,): "1/2"})
     with pytest.raises(StructuralError):
         Polynomial.constant(0.5, ("x",))
+    # arithmetic rejects the same operands with the same error
+    x, _ = ring("x y")
+    for inexact in (lambda: x * 0.5, lambda: x + 0.5, lambda: x - 0.5, lambda: 0.5 * x,
+                    lambda: x * "a", lambda: x / 0.5):
+        with pytest.raises(StructuralError):
+            inexact()
     # an integral quotient or Fraction is stored as an int
     quotients = [divide(4, 2), divide(Fraction(3, 2), Fraction(3, 4)), divide(Fraction(6, 3))]
     assert quotients == [2, 2, 2] and all(type(q) is int for q in quotients)

@@ -7,12 +7,15 @@ from fractions import Fraction
 import pytest
 
 import gaext.filtered
+import gaext.sl2
 from gaext.derivation import Derivation, Grading, homogeneity_degree
 from gaext.filtered import (FilteredSubalgebra, IdealSequence, MonomialGenerators,
-                            TruncationParams, compute_m_nu, truncated_spans)
+                            TruncationParams, _Candidates, _Level, compute_m_nu,
+                            truncated_spans)
 from gaext.groebner import InputError, PresentedRing
 from gaext.poly import StructuralError
-from gaext.sl2 import (family1_subalgebra, family1_truncation, family2_subalgebra,
+from gaext.sl2 import (family1_subalgebra, family1_truncation, family2_cone,
+                       family2_exponents, family2_sequence, family2_subalgebra,
                        family2_truncation, sl2_derivation, sl2_ring, sl2_subalgebra,
                        sl2_torus)
 from test_filtered import _reference_span
@@ -115,6 +118,90 @@ def test_exponent_generators_are_checked_at_construction(monkeypatch):
     assert not labels
     assert sub.generators["x^2*u"] == ring.parse("x^2*u")
     assert list(sub.generators) == ["x^2*u", "y"]
+
+
+@pytest.mark.parametrize("p, q", [(1, 1), (2, 1), (3, 2), (5, 3), (4, 1), (7, 5)])
+def test_family2_cone_matches_the_reference_enumeration(p, q):
+    """Family 2's cone of torus blocks holds exactly the reference
+    enumeration's monomials other than 1, each once, each under its own
+    block, with no empty block, and reads in the reference order."""
+    for degree in (0, 1, p + q, 34):
+        cone = family2_cone(p, q, degree)
+        bidegree = family2_subalgebra(p, q, degree)._bidegree
+        listed = []
+        for key in cone.block_keys:
+            block = cone.block(key)
+            assert block, (degree, key)
+            assert all(bidegree(e) == key for e in block), (degree, key)
+            listed.extend(block)
+        reference = [e for e in family2_exponents(p, q, degree) if any(e)]
+        assert len(listed) == len(set(listed)) == len(reference)
+        assert set(listed) == set(reference)
+        assert cone.exponents == tuple(reference)
+
+
+def test_family2_sequence_makes_only_visited_blocks(monkeypatch):
+    """Family 2 at (3, 2), levels 0..3, runs without the reference
+    enumeration, and checks and lists as candidates exactly the generators
+    of the blocks it reads, each block once, where the listed declaration
+    checks and files all 7 517."""
+    expected = [m.generators for m in family2_sequence(3, 2, 3).ideals]
+
+    def no_enumeration(*args):
+        raise AssertionError("family2_exponents is on the production path")
+
+    monkeypatch.setattr(gaext.sl2, "family2_exponents", no_enumeration)
+    assert [m.generators for m in family2_sequence(3, 2, 3).ideals] == expected
+
+    truncations = [family2_truncation(3, 2, nu) for nu in range(4)]
+    cone = family2_cone(3, 2, truncations[-1].degree)
+    read, checked, listed = [], [], []
+
+    def block(key):
+        read.append(key)
+        return cone.block(key)
+
+    def checking(ambient, exps, *args):
+        checked.append(len(exps))
+        return check(ambient, exps, *args)
+
+    def listing(self, key):
+        cands = list_candidates(self, key)
+        listed.append(sum(length == 1 for _, _, _, _, length, _, _ in cands))
+        return cands
+
+    check, list_candidates = gaext.filtered._check_normal_monomials, _Candidates._list
+    monkeypatch.setattr(gaext.filtered, "_check_normal_monomials", checking)
+    monkeypatch.setattr(_Candidates, "_list", listing)
+    gens = MonomialGenerators(cone.variables, block_keys=cone.block_keys, block=block)
+    sub = FilteredSubalgebra(sl2_ring(), sl2_derivation(), ("x", "y"), gens, torus=sl2_torus())
+    sequence = IdealSequence.compute(sub, truncations)
+    assert [m.generators for m in sequence.ideals] == expected
+    assert len(read) == len(set(read)) == len(checked) == len(listed)
+    visited = sum(len(cone.block(key)) for key in read)
+    assert sum(checked) == sum(listed) == visited
+    assert 0 < visited < 300  # 110 in 7 blocks, of 7 517 in 1 197
+
+
+@pytest.mark.parametrize("block, message", [
+    ([(1, 0, 0, 1)], r"x\*v is not a normal form"),
+    ([(0, 0, 0, 0)], "monomial 1"),
+    ([(0, 1, 1, 0), (1, 0, 0, 0)], r"x is not in torus block \(0, 0\)"),
+    ([(0, 1, 1, 0), (0, 1, 1, 0)], "repeated"),
+])
+def test_declared_blocks_are_checked_when_read(block, message):
+    """A block declaration is checked block by block, when a span first reads
+    the block: construction and the candidates accept it, and the read of
+    the bad block raises, while a good block reads."""
+    blocks = {(0, 0): block, (1, 0): [(1, 0, 0, 0)]}
+    gens = MonomialGenerators(sl2_ring().variables, block_keys=blocks, block=blocks.get)
+    sub = FilteredSubalgebra(sl2_ring(), sl2_derivation(), ("x", "y"), gens, torus=sl2_torus())
+    level = _Level(_Candidates(sub, [TruncationParams(1, 4)]), 0)
+    assert [el.label for el in level[(1, 0)]] == ["x"]
+    with pytest.raises(InputError, match=message):
+        level[(0, 0)]
+    with pytest.raises(InputError, match=message):
+        IdealSequence.compute(sub, [TruncationParams(1, 4)])
 
 
 def test_torus_is_checked_at_construction():
